@@ -1,0 +1,53 @@
+"""The universal numeric result record: value, standard error, size, seed."""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A numeric result with its uncertainty and provenance.
+
+    ``std_error`` is 0 only for deterministic or closed-form results.
+    ``flagged`` marks estimates whose internal resolution audit failed
+    (too many unresolved samples, diverging running integral, ...); the
+    value is still reported so callers can decide what to do.
+    """
+
+    value: float
+    std_error: float
+    n: int
+    seed: int
+    method: str
+    flagged: bool = False
+    flag_reason: str = field(default="", compare=False)
+
+    def __post_init__(self):
+        if self.std_error < 0:
+            raise ValueError("std_error must be >= 0")
+
+    def as_dict(self) -> dict:
+        return {
+            "value": self.value,
+            "std_error": self.std_error,
+            "n": self.n,
+            "seed": self.seed,
+            "method": self.method,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
+
+    def discrepancy_se(self, other: "Estimate | float") -> float:
+        """|difference| in combined standard-error units; inf if both SEs are 0."""
+        if isinstance(other, Estimate):
+            delta = abs(self.value - other.value)
+            se = (self.std_error**2 + other.std_error**2) ** 0.5
+        else:
+            delta = abs(self.value - float(other))
+            se = self.std_error
+        if se == 0.0:
+            return 0.0 if delta == 0.0 else float("inf")
+        return delta / se

@@ -1,0 +1,206 @@
+"""Target submanifolds W in the field's value space.
+
+A LevelSetW is a codimension-m submanifold of R^k given as a level set
+phi^{-1}(0), carrying a normal framing nu (orthonormal columns spanning the
+normal space) and a fiber cubature rule for integrating over W (or over
+W truncated to a ball).  Dimension-0 targets (open regions, used when the
+base manifold is a finite point set) are GaussianRegion objects instead.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import numpy as np
+
+from .errors import ConfigurationError, DomainError
+
+
+@dataclass
+class LevelSetW:
+    """W = phi^{-1}(0) in R^k with a normal framing and a fiber cubature."""
+
+    ambient_dim: int
+    codim: int
+    phi: Callable[[np.ndarray], np.ndarray]          # (N, k) -> (N, m)
+    framing: Callable[[np.ndarray], np.ndarray]      # (N, k) -> (N, k, m), orthonormal cols
+    fiber_nodes: Optional[Callable[[int], tuple]] = None  # n -> (nodes (N,k), weights (N,))
+    volume_in_ball: Optional[Callable[[float], float]] = None
+    label: str = ""
+
+    def nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if self.fiber_nodes is None:
+            raise ConfigurationError(
+                "target has no fiber cubature; supply fiber_nodes for non-point targets"
+            )
+        pts, wts = self.fiber_nodes(n)
+        return np.atleast_2d(np.asarray(pts, float)), np.asarray(wts, float)
+
+    def validate(self, pts: np.ndarray, tol: float = 1e-10) -> None:
+        """Assert the framing is orthonormal and pts lie on W (tests call this)."""
+        pts = np.atleast_2d(pts)
+        vals = np.atleast_2d(self.phi(pts))
+        if np.abs(vals).max() > tol:
+            raise DomainError("fiber nodes do not lie on the level set")
+        nus = self.framing(pts)
+        m = self.codim
+        gram = np.einsum("nki,nkj->nij", nus, nus)
+        if np.abs(gram - np.eye(m)).max() > tol:
+            raise DomainError("normal framing columns are not orthonormal")
+
+
+def point_target(y0) -> LevelSetW:
+    """W = {y0}: the classical count of solutions of X = y0."""
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    k = y0.size
+
+    def phi(pts):
+        return np.atleast_2d(pts) - y0
+
+    def framing(pts):
+        n = np.atleast_2d(pts).shape[0]
+        return np.broadcast_to(np.eye(k), (n, k, k)).copy()
+
+    def fiber_nodes(n):
+        return y0[None, :], np.ones(1)
+
+    return LevelSetW(ambient_dim=k, codim=k, phi=phi, framing=framing,
+                     fiber_nodes=fiber_nodes,
+                     volume_in_ball=lambda R: 1.0 if R >= np.linalg.norm(y0) else 0.0,
+                     label=f"point{tuple(np.round(y0, 12))}")
+
+
+def circle_target(radius: float) -> LevelSetW:
+    """W = circle of given radius in R^2 (codimension 1)."""
+    r = float(radius)
+    if r <= 0:
+        raise DomainError("radius must be positive")
+
+    def phi(pts):
+        pts = np.atleast_2d(pts)
+        return (np.linalg.norm(pts, axis=1) - r)[:, None]
+
+    def framing(pts):
+        pts = np.atleast_2d(pts)
+        nu = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        return nu[:, :, None]
+
+    def fiber_nodes(n):
+        t = (np.arange(n) + 0.5) * (2.0 * np.pi / n)
+        pts = r * np.stack([np.cos(t), np.sin(t)], axis=1)
+        return pts, np.full(n, 2.0 * np.pi * r / n)
+
+    def volume_in_ball(R):
+        return 2.0 * np.pi * r if R >= r else 0.0
+
+    return LevelSetW(ambient_dim=2, codim=1, phi=phi, framing=framing,
+                     fiber_nodes=fiber_nodes, volume_in_ball=volume_in_ball,
+                     label=f"circle(r={r})")
+
+
+def unit_ball_volume(dim: int) -> float:
+    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+
+
+def linear_subspace_target(ambient_dim: int, subspace_dim: int) -> LevelSetW:
+    """W = span(e_1, ..., e_j) in R^k: polynomial volume growth in balls."""
+    k, j = ambient_dim, subspace_dim
+    if not 0 < j < k:
+        raise DomainError("subspace dimension must be strictly between 0 and ambient")
+    m = k - j
+
+    def phi(pts):
+        return np.atleast_2d(pts)[:, j:]
+
+    def framing(pts):
+        n = np.atleast_2d(pts).shape[0]
+        nu = np.zeros((n, k, m))
+        for i in range(m):
+            nu[:, j + i, i] = 1.0
+        return nu
+
+    def volume_in_ball(R):
+        return unit_ball_volume(j) * R**j
+
+    return LevelSetW(ambient_dim=k, codim=m, phi=phi, framing=framing,
+                     fiber_nodes=None, volume_in_ball=volume_in_ball,
+                     label=f"subspace({j} in {k})")
+
+
+def line_segment_target(half_length: float, angle: float = 0.0) -> LevelSetW:
+    """A truncated line through the origin in R^2 (codimension 1).
+
+    The fiber cubature covers only |t| <= half_length, so the Gaussian tail
+    audit of the density evaluators can be exercised on a non-compact W.
+    """
+    u = np.array([math.cos(angle), math.sin(angle)])
+    nrm = np.array([-u[1], u[0]])
+
+    def phi(pts):
+        return (np.atleast_2d(pts) @ nrm)[:, None]
+
+    def framing(pts):
+        n = np.atleast_2d(pts).shape[0]
+        return np.broadcast_to(nrm[:, None], (n, 2, 1)).copy()
+
+    def fiber_nodes(n):
+        t = (np.arange(n) + 0.5) * (2.0 * half_length / n) - half_length
+        return t[:, None] * u, np.full(n, 2.0 * half_length / n)
+
+    return LevelSetW(ambient_dim=2, codim=1, phi=phi, framing=framing,
+                     fiber_nodes=fiber_nodes,
+                     volume_in_ball=lambda R: 2.0 * min(R, half_length),
+                     label=f"segment(L={half_length})")
+
+
+def synthetic_growth_target(volume_fn: Callable[[float], float], label: str = "synthetic") -> LevelSetW:
+    """A target carrying only a ball-volume profile, for growth diagnostics."""
+    return LevelSetW(ambient_dim=1, codim=1,
+                     phi=lambda pts: np.atleast_2d(pts),
+                     framing=lambda pts: np.ones((np.atleast_2d(pts).shape[0], 1, 1)),
+                     fiber_nodes=None, volume_in_ball=volume_fn, label=label)
+
+
+# ---------------------------------------------------------------------------
+# Dimension-0 targets: open regions with computable Gaussian mass
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GaussianRegion:
+    """An open subset of R^k queried only through P{N(0, K) in region}."""
+
+    ambient_dim: int
+    contains: Callable[[np.ndarray], np.ndarray]  # (N, k) -> bool (N,)
+    exact_probability: Optional[Callable[[np.ndarray], float]] = None
+    label: str = ""
+
+    def probability(self, cov: np.ndarray, n_mc: int = 200_000, seed: int = 0):
+        """(probability, std_error) under N(0, cov); exact when available."""
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        if self.exact_probability is not None:
+            return float(self.exact_probability(cov)), 0.0
+        rng = np.random.default_rng(seed)
+        chol = np.linalg.cholesky(cov + 1e-15 * np.eye(cov.shape[0]))
+        draws = rng.standard_normal((n_mc, cov.shape[0])) @ chol.T
+        hits = np.asarray(self.contains(draws), dtype=float)
+        p = float(hits.mean())
+        return p, float(np.sqrt(max(p * (1 - p), 0.0) / n_mc))
+
+
+def half_line_region(threshold: float = 0.0, above: bool = True) -> GaussianRegion:
+    """{x > threshold} (or <) in R^1, with the exact Gaussian tail mass."""
+    t = float(threshold)
+
+    def contains(pts):
+        x = np.atleast_2d(pts)[:, 0]
+        return x > t if above else x < t
+
+    def exact(cov):
+        sd = math.sqrt(float(np.atleast_2d(cov)[0, 0]))
+        tail = 0.5 * math.erfc(t / (sd * math.sqrt(2.0))) if sd > 0 else float(t < 0)
+        return tail if above else 1.0 - tail
+
+    return GaussianRegion(ambient_dim=1, contains=contains, exact_probability=exact,
+                          label=f"half_line({'>' if above else '<'}{t})")
