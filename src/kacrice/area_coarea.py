@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NumericError
+from .oracle import _bisect_circle
 
 _BISECT_TOL = 1e-12
 
@@ -45,24 +46,6 @@ def _gauss_panel(lo: float, hi: float, order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w
-
-
-def _bisect(func, lo, hi, tol=_BISECT_TOL):
-    """Vectorized bisection; func(lo) and func(hi) must have opposite signs."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    flo = func(lo)
-    for _ in range(200):
-        if lo.size == 0 or np.max(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = func(mid)
-        take_left = flo * fm <= 0.0
-        hi = np.where(take_left, mid, hi)
-        keep = ~take_left
-        lo = np.where(keep, mid, lo)
-        flo = np.where(keep, fm, flo)
-    return 0.5 * (lo + hi)
 
 
 def _merge_breaks(values, lo, hi, tol):
@@ -101,7 +84,9 @@ def area_formula_check(
 
     # Critical points from sign changes of f' (plus exact node zeros).
     change = fpx[:-1] * fpx[1:] < 0.0
-    crit = _bisect(fprime, xs[:-1][change], xs[1:][change]) if change.any() else np.zeros(0)
+    crit = np.zeros(0)
+    if change.any():
+        crit, _ = _bisect_circle(fprime, xs[:-1][change], xs[1:][change], _BISECT_TOL)
     node_zero = xs[np.abs(fpx) == 0.0]
     crit = np.concatenate([crit, node_zero])
 
@@ -129,7 +114,8 @@ def area_formula_check(
                 s = fx - q
             hit = s[:-1] * s[1:] < 0.0
             if hit.any():
-                roots = _bisect(lambda t: f(t) - q, xs[:-1][hit], xs[1:][hit])
+                roots, _ = _bisect_circle(lambda t: f(t) - q, xs[:-1][hit], xs[1:][hit],
+                                          _BISECT_TOL)
                 sums[idx] = float(np.sum(weight(roots)))
             else:
                 sums[idx] = 0.0
@@ -201,13 +187,13 @@ def _segment_endpoints(S, xs, ys, f, q):
     if sx.any():
         ii, jj = np.nonzero(sx)
         y_fix = ys[jj]
-        roots = _bisect(lambda t: f(t, y_fix) - q, xs[ii], xs[ii + 1])
+        roots, _ = _bisect_circle(lambda t: f(t, y_fix) - q, xs[ii], xs[ii + 1], _BISECT_TOL)
         hx[ii, jj] = roots
     vy = np.full(sy.shape, np.nan)
     if sy.any():
         ii, jj = np.nonzero(sy)
         x_fix = xs[ii]
-        roots = _bisect(lambda t: f(x_fix, t) - q, ys[jj], ys[jj + 1])
+        roots, _ = _bisect_circle(lambda t: f(x_fix, t) - q, ys[jj], ys[jj + 1], _BISECT_TOL)
         vy[ii, jj] = roots
 
     bottom, top = sx[:, :-1], sx[:, 1:]

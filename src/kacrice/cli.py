@@ -101,7 +101,7 @@ def _model_sigmas(spec: dict):
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _run_point_count(cfg: ExperimentConfig, workers: int):
+def _run_point_count(cfg: ExperimentConfig):
     spec = cfg.model
     if spec.get("m", 1) != 1 or spec.get("k", 1) != 1:
         raise ConfigurationError("point_count needs a scalar model on the circle")
@@ -111,13 +111,12 @@ def _run_point_count(cfg: ExperimentConfig, workers: int):
     formula = formulas.isotropic_point_count(s0, s1, [y])
     counter = functools.partial(oracle.count_zeros_circle,
                                 grid_n=cfg.param("grid_n"), level=y)
-    est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"),
-                                   cfg.seed, workers=workers)
+    est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
     x = spec.get("degree", len(spec.get("coeff_mats", [])) - 1)
     return [_record("point_count", x, formula, est, cfg.seed)], est.flagged
 
 
-def _run_sphere_count(cfg: ExperimentConfig, workers: int):
+def _run_sphere_count(cfg: ExperimentConfig):
     degrees = cfg.model.get("degrees")
     if not degrees or len(degrees) != 2:
         raise ConfigurationError("sphere_count needs model.degrees = [d1, d2]")
@@ -132,27 +131,29 @@ def _run_sphere_count(cfg: ExperimentConfig, workers: int):
             sample(model1, s), sample(model2, s + 0x9E3779B9), n_seeds=n_seeds)
 
     est = oracle.mc_expected_count_seeded(counter_by_seed, cfg.param("n_realizations"),
-                                          cfg.seed, workers=workers)
+                                          cfg.seed)
     return [_record("sphere_count", d1 * d2, formula, est, cfg.seed)], est.flagged
 
 
-def _run_signed_count(cfg: ExperimentConfig, workers: int):
+def _run_signed_count(cfg: ExperimentConfig):
     spec = cfg.model
     model = build_model(spec)
     if model.output_dim != 1 or model.domain.m != 1:
         raise ConfigurationError("signed_count needs a scalar model on the circle")
     counter = functools.partial(oracle.count_signed_zeros_circle,
                                 grid_n=cfg.param("grid_n"))
-    est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"),
-                                   cfg.seed, workers=workers)
+    est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
     weighted = formulas.expected_count(
         model, level_sets.point_target([0.0]), circle_region(cfg.param("region_nodes")),
         n_samples=cfg.param("n_samples"), weight=formulas.sign_weight(), seed=cfg.seed)
     rec = _record("signed_count", spec.get("degree", 0), weighted.value, est, cfg.seed)
+    # The oracle's SE is exactly 0 (transverse signed counts are all 0), so
+    # the discrepancy needs the formula estimate's SE as well.
+    rec["discrepancy_se"] = float(est.discrepancy_se(weighted))
     return [rec], est.flagged or weighted.flagged
 
 
-def _run_kinematic(cfg: ExperimentConfig, workers: int):
+def _run_kinematic(cfg: ExperimentConfig):
     if cfg.target.get("kind") != "curve_pair":
         raise ConfigurationError("kinematic needs target.kind = curve_pair")
     c1 = build_curve(cfg.target["curve1"])
@@ -171,7 +172,7 @@ def _mixture_mats(eps: float, d_low: int, d_high: int):
     return mats
 
 
-def _run_continuity_sweep(cfg: ExperimentConfig, workers: int):
+def _run_continuity_sweep(cfg: ExperimentConfig):
     grid = cfg.param("epsilon_grid")
     if not grid:
         raise ConfigurationError("continuity_sweep needs params.epsilon_grid")
@@ -183,14 +184,13 @@ def _run_continuity_sweep(cfg: ExperimentConfig, workers: int):
         formula = formulas.mixed_kostlan_count(mats)
         model = isotropic_model(mats, m=1)
         counter = functools.partial(oracle.count_zeros_circle, grid_n=cfg.param("grid_n"))
-        est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"),
-                                       cfg.seed, workers=workers)
+        est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
         records.append(_record("continuity_sweep", float(eps), formula, est, cfg.seed))
         flagged |= est.flagged
     return records, flagged
 
 
-def _run_degree_sweep(cfg: ExperimentConfig, workers: int):
+def _run_degree_sweep(cfg: ExperimentConfig):
     grid = cfg.param("degree_grid")
     if not grid:
         raise ConfigurationError("degree_sweep needs params.degree_grid")
@@ -200,8 +200,7 @@ def _run_degree_sweep(cfg: ExperimentConfig, workers: int):
         formula = formulas.isotropic_point_count([[1.0]], [[float(d)]], [0.0])
         model = kostlan_model(1, int(d))
         counter = functools.partial(oracle.count_zeros_circle, grid_n=cfg.param("grid_n"))
-        est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"),
-                                       cfg.seed, workers=workers)
+        est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
         records.append(_record("degree_sweep", float(d), formula, est, cfg.seed))
         flagged |= est.flagged
     return records, flagged
@@ -219,7 +218,7 @@ def _build_growth_target(spec: dict):
     raise ConfigurationError(f"subgaussian cannot use target kind {kind!r}")
 
 
-def _run_subgaussian(cfg: ExperimentConfig, workers: int):
+def _run_subgaussian(cfg: ExperimentConfig):
     grid = cfg.param("R_grid")
     if not grid:
         raise ConfigurationError("subgaussian needs params.R_grid")
@@ -231,7 +230,7 @@ def _run_subgaussian(cfg: ExperimentConfig, workers: int):
     return [rec], False
 
 
-def _run_selfcheck(cfg: ExperimentConfig, workers: int):
+def _run_selfcheck(cfg: ExperimentConfig):
     records = []
     ok = True
     for m in range(1, 9):
@@ -301,21 +300,8 @@ def write_records(records: list[dict], path: str, fmt: str) -> None:
 
 def run(cfg: ExperimentConfig) -> tuple[int, list[dict]]:
     """Execute one experiment; returns (exit_code, records)."""
-    workers = _worker_count()
-    try:
-        records, flagged = _RUNNERS[cfg.experiment](cfg, workers)
-    except ConfigurationError:
-        raise
+    records, flagged = _RUNNERS[cfg.experiment](cfg)
     return (3 if flagged else 0), records
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("KACRICE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"KACRICE_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def _load_config(path: str) -> ExperimentConfig:

@@ -45,17 +45,26 @@ class Domain:
         if self.name == "circle":
             return np.array([[-p[1]], [p[0]]])
         if self.name == "sphere":
-            x, y, z = p
-            if abs(z) > 1.0 - 1e-8:
-                t1 = np.array([1.0, 0.0, 0.0])
-                t1 -= (t1 @ p) * p
-                t1 /= np.linalg.norm(t1)
-            else:
-                t1 = np.array([-y, x, 0.0])
-                t1 /= np.linalg.norm(t1)
-            t2 = np.cross(p, t1)
-            return np.stack([t1, t2], axis=1)
+            t1, t2 = sphere_tangent_frames(p[None, :])
+            return np.stack([t1[0], t2[0]], axis=1)
         return np.eye(self.ambient_dim)  # cube
+
+
+def sphere_tangent_frames(pts: np.ndarray):
+    """Orthonormal tangent frames (t1, t2) at unit vectors pts (N, 3), t2 = p x t1.
+
+    t1 is the normalized azimuthal direction (-y, x, 0), or e_1 projected onto
+    the tangent plane within 1e-8 of the poles, where the former vanishes.
+    """
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    polar = np.abs(z) > 1.0 - 1e-8
+    t1 = np.stack([-y, x, np.zeros_like(z)], axis=1)
+    t1_polar = np.stack([np.ones_like(z), np.zeros_like(z), np.zeros_like(z)], axis=1)
+    t1 = np.where(polar[:, None], t1_polar - (t1_polar * pts).sum(1, keepdims=True) * pts, t1)
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(pts, t1)
+    return t1, t2
+
 
 def circle_domain() -> Domain:
     return Domain("circle", 1, 2)
@@ -307,6 +316,21 @@ class JetCovariance:
     def derivative_degenerate(self) -> bool:
         return smallest_eigenvalue(self.K1) <= EIG_FLOOR
 
+    def conditional(self):
+        """Law of the derivative jet given X(p) = y: (A or None, C).
+
+        The conditional mean is A y with A = K01^T K0^{-1} (m*k, k), and the
+        covariance C = K1 - K01^T K0^{-1} K01 does not depend on y.  When the
+        cross block is negligible (isotropic models) A is None and C is K1.
+        """
+        if smallest_eigenvalue(self.K0) <= EIG_FLOOR:
+            raise DegenerateModelError("K0 is numerically singular at the base point")
+        scale = max(np.abs(self.K0).max(), np.abs(self.K1).max(), 1.0)
+        if np.abs(self.K01).max() <= 1e-12 * scale:
+            return None, self.K1
+        a = np.linalg.solve(self.K0, self.K01).T
+        return a, self.K1 - a @ self.K01
+
 
 def smallest_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
@@ -326,9 +350,7 @@ def pivoted_cholesky(cov: np.ndarray) -> np.ndarray:
     c = np.tril(c)
     c[:, rank:] = 0.0
     perm = np.argsort(piv - 1)
-    factor = c[perm]
-    # Guard: dpstrf may leave tiny negative diagonal noise in the cut block.
-    return factor
+    return c[perm]
 
 
 def jet_covariance(model: FieldModel, p: np.ndarray,
@@ -520,17 +542,16 @@ class ConditionedRealization:
         self.base = base
         self.seed = base.seed
         xp = base.value(parent.p[None, :])
-        self._delta = parent.q - np.atleast_1d(xp[0])
+        delta = parent.q - np.atleast_1d(xp[0])
+        self._phi_p = parent.model.phi(parent.p[None, :])[0]
+        self._kpp_inv_delta = np.linalg.solve(parent.kpp, delta)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         model = self.parent.model
         phi_u = model.phi(pts)
-        phi_p = model.phi(self.parent.p[None, :])[0]
-        kup = np.einsum("nkr,rs,ls->nkl", phi_u, model.coeff_cov, phi_p)
-        shift = kup @ np.linalg.solve(self.parent.kpp, self._delta)
-        base_vals = model.phi(pts) @ self.base.coeffs
-        out = base_vals + shift
+        kup = np.einsum("nkr,rs,ls->nkl", phi_u, model.coeff_cov, self._phi_p)
+        out = phi_u @ self.base.coeffs + kup @ self._kpp_inv_delta
         return out[:, 0] if model.output_dim == 1 else out
 
 
@@ -546,11 +567,7 @@ def nabla_derivative_law(model: FieldModel, p: np.ndarray,
     Returns the (m*k, m*k) covariance of d_p X - K01^T K0^{-1} X(p); for
     isotropic models (K01 = 0) this is K1 unchanged.
     """
-    jc = jet_covariance(model, p, tangent_frame)
-    if smallest_eigenvalue(jc.K0) <= EIG_FLOOR:
-        raise DegenerateModelError("K0 is numerically singular")
-    correction = jc.K01.T @ np.linalg.solve(jc.K0, jc.K01)
-    return jc.K1 - correction
+    return jet_covariance(model, p, tangent_frame).conditional()[1]
 
 
 def conditional_jet_law(model: FieldModel, p: np.ndarray, y: np.ndarray,
@@ -561,9 +578,6 @@ def conditional_jet_law(model: FieldModel, p: np.ndarray, y: np.ndarray,
     direction-major layout of JetCovariance.
     """
     jc = jet_covariance(model, p, tangent_frame)
-    if smallest_eigenvalue(jc.K0) <= EIG_FLOOR:
-        raise DegenerateModelError("K0 is numerically singular")
-    a = np.linalg.solve(jc.K0, jc.K01).T  # (m*k, k)
-    mean = a @ np.asarray(y, dtype=float)
-    cov = jc.K1 - a @ jc.K01
+    a, cov = jc.conditional()
+    mean = np.zeros(jc.m * jc.k) if a is None else a @ np.asarray(y, dtype=float)
     return mean, cov

@@ -32,7 +32,7 @@ from .fields import (
     pivoted_cholesky,
     smallest_eigenvalue,
 )
-from .level_sets import GaussianRegion, LevelSetW
+from .level_sets import GaussianRegion, LevelSetW, unit_ball_volume
 from .linalg import sine_angle_lines
 from .quadrature import Region
 
@@ -137,15 +137,11 @@ def sphere_volume(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
-def ball_volume(m: int) -> float:
-    return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
-
-
 def gamma_identity_check(m: int) -> tuple[float, float]:
     """(vol(S^m) vol(B^m) m!,  2 (2 pi)^m): equal for every m >= 1."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    lhs = sphere_volume(m) * ball_volume(m) * math.factorial(m)
+    lhs = sphere_volume(m) * unit_ball_volume(m) * math.factorial(m)
     rhs = 2.0 * (2.0 * math.pi) ** m
     return lhs, rhs
 
@@ -201,16 +197,8 @@ def _conditional_jet_sampler(model: FieldModel, p: np.ndarray,
     conditioning drops entirely.
     """
     jc = jet_covariance(model, p, tangent_frame)
-    if smallest_eigenvalue(jc.K0) <= EIG_FLOOR:
-        raise DegenerateModelError("K0 is numerically singular at the base point")
-    scale = max(np.abs(jc.K0).max(), np.abs(jc.K1).max(), 1.0)
-    if np.abs(jc.K01).max() <= 1e-12 * scale:
-        cov = jc.K1
-        mean_fn = None
-    else:
-        a = np.linalg.solve(jc.K0, jc.K01).T  # (mk, k)
-        cov = jc.K1 - a @ jc.K01
-        mean_fn = lambda y: a @ y
+    a, cov = jc.conditional()
+    mean_fn = None if a is None else (lambda y: a @ y)
     return jc.K0, mean_fn, pivoted_cholesky(cov)
 
 
@@ -259,10 +247,11 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
 
     # Tail audit for truncated non-compact targets: flag if the outermost
     # tenth of the fiber nodes still carries a visible share of the mass.
+    # Targets whose nodes all sit at one radius (circles) have no tail.
     flagged = False
     reason = ""
-    if nodes.shape[0] >= 16:
-        radii = np.linalg.norm(nodes, axis=1)
+    radii = np.linalg.norm(nodes, axis=1)
+    if nodes.shape[0] >= 16 and np.ptp(radii) > 1e-9 * radii.max():
         order = np.argsort(radii)
         mass = node_means[order]
         total = mass.sum()

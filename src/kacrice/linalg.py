@@ -77,33 +77,18 @@ def frame_volume(frame) -> float:
 
 
 def orthonormalize(vectors: np.ndarray, drop_tol: float = TAU_RANK) -> np.ndarray:
-    """Gram-Schmidt with one re-orthogonalization pass (twice is enough).
+    """Orthonormal basis (rows) of the span of the input rows, by thin SVD.
 
-    Projections against the accumulated orthonormal block are applied as
-    matrix products; the second pass restores orthogonality lost to
-    cancellation.  Rows that fall below ``drop_tol`` times the largest input
-    row norm after projection are treated as dependent and dropped.  Returns
+    Directions whose singular value is at most ``drop_tol`` times the
+    largest input row norm are treated as dependent and dropped.  Returns
     an array of orthonormal rows (possibly empty, shape (0, n)).
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    n = v.shape[1]
-    sq = np.einsum("ij,ij->i", v, v)
-    scale = math.sqrt(sq.max(initial=0.0))
+    scale = math.sqrt(np.einsum("ij,ij->i", v, v).max(initial=0.0))
     if scale == 0.0:
-        return np.zeros((0, n))
-    basis = np.empty((min(v.shape[0], n), n))
-    k = 0
-    for row in v:
-        w = row.astype(float, copy=True)
-        if k:
-            b = basis[:k]
-            w -= b.T @ (b @ w)
-            w -= b.T @ (b @ w)
-        nw = math.sqrt(w @ w)
-        if nw > drop_tol * scale:
-            basis[k] = w / nw
-            k += 1
-    return basis[:k].copy()
+        return np.zeros((0, v.shape[1]))
+    _, s, vh = np.linalg.svd(v, full_matrices=False)
+    return vh[:int(np.count_nonzero(s > drop_tol * scale))]
 
 
 # ---------------------------------------------------------------------------

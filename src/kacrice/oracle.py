@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .estimate import Estimate
 from .fields import FieldModel, Realization, sample
+from .fields import sphere_tangent_frames as _sphere_tangent_frames
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class CountSample:
 # ---------------------------------------------------------------------------
 
 def _bisect_circle(func, lo, hi, tol):
+    """Vectorized bisection of sign-change brackets [lo, hi] (nonempty arrays)
+    down to width tol; returns (midpoints, steps)."""
     flo = func(lo)
     steps = 0
     while np.max(hi - lo) > tol:
@@ -74,6 +77,27 @@ def _circle_roots(realization: Realization, grid_n: int, tol: float, level: floa
     return out, steps
 
 
+def _audited_circle_roots(realization: Realization, grid_n: int, tol: float,
+                          level: float, closed: bool):
+    """Sorted roots at grid_n, with diagnostics and the reason the grid-doubling
+    audit flags them ("" when it does not)."""
+    if realization.model.output_dim != 1:
+        raise DomainError("circle zero counting needs a scalar field")
+    roots, steps = _circle_roots(realization, grid_n, tol, level)
+    roots2, _ = _circle_roots(realization, 2 * grid_n, tol, level)
+    min_sep = float("inf")
+    if roots.size > 1:
+        min_sep = float(np.diff(roots, append=roots[0] + 2.0 * np.pi).min())
+    reason = ""
+    if roots.size != roots2.size:
+        reason = "count changed under grid doubling"
+    elif roots.size > 1 and min_sep < 2.0 * np.pi / (2 * grid_n):
+        reason = "roots closer than the refined grid resolution"
+    elif closed and roots.size % 2 == 1:
+        reason = "odd zero count on a closed loop"
+    return roots, {"n_bisection_steps": steps, "min_separation": min_sep}, reason
+
+
 def count_zeros_circle(realization: Realization, grid_n: int = 1024,
                        tol: float = 1e-12, level: float = 0.0,
                        arc: tuple[float, float] | None = None) -> CountSample:
@@ -86,27 +110,14 @@ def count_zeros_circle(realization: Realization, grid_n: int = 1024,
     counts are additionally audited for evenness (transverse level sets of
     a closed loop have even cardinality).
     """
-    if realization.model.output_dim != 1:
-        raise DomainError("circle zero counting needs a scalar field")
-    roots, steps = _circle_roots(realization, grid_n, tol, level)
-    roots2, _ = _circle_roots(realization, 2 * grid_n, tol, level)
-    min_sep = float("inf")
-    if roots.size > 1:
-        gaps = np.diff(np.sort(roots), append=np.sort(roots)[0] + 2.0 * np.pi)
-        min_sep = float(gaps.min())
-    flagged = roots.size != roots2.size
-    reason = "count changed under grid doubling" if flagged else ""
-    if not flagged and roots.size > 1 and min_sep < 2.0 * np.pi / (2 * grid_n):
-        flagged, reason = True, "roots closer than the refined grid resolution"
-    if not flagged and arc is None and roots.size % 2 == 1:
-        flagged, reason = True, "odd zero count on a closed loop"
+    roots, diag, reason = _audited_circle_roots(realization, grid_n, tol, level,
+                                                closed=arc is None)
     if arc is not None:
         lo, hi = arc
         inside = (np.mod(roots - lo, 2.0 * np.pi)) < (hi - lo)
         roots = roots[inside]
-    return CountSample(count=int(roots.size), seed=realization.seed,
-                       diagnostics={"n_bisection_steps": steps, "min_separation": min_sep},
-                       flagged=flagged, flag_reason=reason)
+    return CountSample(count=int(roots.size), seed=realization.seed, diagnostics=diag,
+                       flagged=bool(reason), flag_reason=reason)
 
 
 def count_signed_zeros_circle(realization: Realization, grid_n: int = 1024,
@@ -118,18 +129,14 @@ def count_signed_zeros_circle(realization: Realization, grid_n: int = 1024,
     for every transverse realization; zeros with |derivative| below the
     transversality tolerance flag the sample instead of contributing.
     """
-    base = count_zeros_circle(realization, grid_n, tol)
-    roots, _ = _circle_roots(realization, grid_n, tol)
+    roots, diag, reason = _audited_circle_roots(realization, grid_n, tol, 0.0, closed=True)
     derivs = realization.circle_derivative(roots) if roots.size else np.zeros(0)
-    flagged = base.flagged
-    reason = base.flag_reason
     if roots.size and np.abs(derivs).min() < transversality_tol:
-        flagged, reason = True, "non-transverse zero (derivative below tolerance)"
+        reason = "non-transverse zero (derivative below tolerance)"
     signed = int(np.sign(derivs).sum()) if roots.size else 0
-    diag = dict(base.diagnostics)
     diag["n_roots"] = int(roots.size)
     return CountSample(count=signed, seed=realization.seed, diagnostics=diag,
-                       flagged=flagged, flag_reason=reason)
+                       flagged=bool(reason), flag_reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +150,6 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     phi = i * math.pi * (3.0 - math.sqrt(5.0))
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-
-
-def _sphere_tangent_frames(pts: np.ndarray):
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    polar = np.abs(z) > 1.0 - 1e-8
-    t1 = np.stack([-y, x, np.zeros_like(z)], axis=1)
-    t1_polar = np.stack([np.ones_like(z), np.zeros_like(z), np.zeros_like(z)], axis=1)
-    t1 = np.where(polar[:, None], t1_polar - (t1_polar * pts).sum(1, keepdims=True) * pts, t1)
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(pts, t1)
-    return t1, t2
 
 
 def _projective_dedup(roots: np.ndarray, radius: float) -> np.ndarray:
@@ -305,23 +301,16 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization,
 
 def mc_expected_count_seeded(counter_by_seed: Callable[[int], CountSample],
                              n_samples: int, seed: int,
-                             max_excluded_fraction: float = 0.05,
-                             workers: int = 1) -> Estimate:
+                             max_excluded_fraction: float = 0.05) -> Estimate:
     """Mean and standard error of exact counts indexed by derived seeds.
 
     Flagged (unresolved) samples are excluded and reported; the estimate is
     itself flagged when the exclusions exceed ``max_excluded_fraction``.
-    Deterministic for a fixed (counter, n_samples, seed) regardless of the
-    worker count: per-task seeds are fixed up front and results are reduced
-    in task order.
+    Deterministic for a fixed (counter, n_samples, seed): per-sample seeds
+    are derived from ``seed`` up front.
     """
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, np.uint64)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda s: counter_by_seed(int(s)), child_seeds))
-    else:
-        samples = [counter_by_seed(int(s)) for s in child_seeds]
+    samples = [counter_by_seed(int(s)) for s in child_seeds]
     counts = []
     excluded = 0
     for cs in samples:
@@ -343,12 +332,11 @@ def mc_expected_count_seeded(counter_by_seed: Callable[[int], CountSample],
 
 def mc_expected_count(model: FieldModel, counter: Callable[[Realization], CountSample],
                       n_samples: int, seed: int,
-                      max_excluded_fraction: float = 0.05,
-                      workers: int = 1) -> Estimate:
+                      max_excluded_fraction: float = 0.05) -> Estimate:
     """mc_expected_count_seeded specialized to realizations of one model."""
     return mc_expected_count_seeded(
         lambda s: counter(sample(model, s)), n_samples, seed,
-        max_excluded_fraction=max_excluded_fraction, workers=workers)
+        max_excluded_fraction=max_excluded_fraction)
 
 
 # ---------------------------------------------------------------------------

@@ -106,14 +106,20 @@ def test_seed_flag_and_env_override(tmp_path, monkeypatch):
     assert ",555" in env_out.splitlines()[1]
 
 
-def test_threads_env_does_not_change_results(tmp_path, monkeypatch):
-    cfg = point_count_config(tmp_path, n=40)
-    path = write_config(tmp_path, cfg)
-    main(["run", "--config", path])
-    serial = (tmp_path / "out.csv").read_bytes()
-    monkeypatch.setenv("KACRICE_THREADS", "4")
-    main(["run", "--config", path])
-    assert (tmp_path / "out.csv").read_bytes() == serial
+def test_signed_count_discrepancy_uses_formula_se(tmp_path):
+    # Every transverse signed count is 0, so the oracle SE is 0 and only
+    # the formula estimate's SE can scale the discrepancy.
+    cfg = {
+        "experiment": "signed_count",
+        "model": {"kind": "kostlan", "m": 1, "degree": 7, "k": 1},
+        "params": {"n_realizations": 200},
+        "seed": 707,
+        "output": {"path": str(tmp_path / "signed.csv"), "format": "csv"},
+    }
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    row = (tmp_path / "signed.csv").read_text().splitlines()[1].split(",")
+    assert float(row[4]) == 0.0
+    assert 0.0 < float(row[5]) < 4.0
 
 
 def test_invalid_config_exits_2(tmp_path):

@@ -16,6 +16,8 @@ from kacrice.fields import (
     pivoted_cholesky,
     regression_matrix,
     sample,
+    sphere_domain,
+    sphere_tangent_frames,
 )
 
 
@@ -27,6 +29,23 @@ def random_sphere_point(rng, dim):
 @pytest.fixture(scope="module")
 def rng():
     return np.random.default_rng(2026)
+
+
+# ---------------------------------------------------------------------------
+# Tangent frames
+# ---------------------------------------------------------------------------
+
+def test_sphere_tangent_frame_rule():
+    pts = np.array([[0.0, 0.0, 1.0], [1e-9, 0.0, -1.0], [0.36, 0.48, 0.8]])
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    assert np.abs(pts[1, 2]) > 1.0 - 1e-8  # polar branch
+    t1, t2 = sphere_tangent_frames(pts)
+    for i, p in enumerate(pts):
+        frame = sphere_domain().tangent_frame(p)
+        assert np.array_equal(frame, np.stack([t1[i], t2[i]], axis=1))
+        assert np.abs(frame.T @ frame - np.eye(2)).max() < 1e-14
+        assert np.abs(p @ frame).max() < 1e-14
+        assert np.array_equal(t2[i], np.cross(p, t1[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,17 @@ def test_density_point_requires_matching_codim():
 def test_density_point_flags_undecayed_tail():
     model = kostlan_model(1, 4, k=2)
     p = np.array([1.0, 0.0])
-    short = density_point(model, line_segment_target(1.2), p, n_samples=2000, seed=2,
-                          fiber_nodes=64)
-    long = density_point(model, line_segment_target(6.0), p, n_samples=2000, seed=2,
-                         fiber_nodes=64)
-    assert short.flagged
-    assert not long.flagged
+    for nodes in (64, 256):
+        short = density_point(model, line_segment_target(1.2), p, n_samples=2000, seed=2,
+                              fiber_nodes=nodes)
+        long = density_point(model, line_segment_target(6.0), p, n_samples=2000, seed=2,
+                             fiber_nodes=nodes)
+        # A compact target has no truncation tail, whatever its node count.
+        compact = density_point(model, circle_target(1.0), p, n_samples=2000, seed=2,
+                                fiber_nodes=nodes)
+        assert short.flagged
+        assert not long.flagged
+        assert not compact.flagged
 
 
 def test_expected_count_kostlan_within_two_percent():

@@ -71,6 +71,19 @@ def test_orthonormalize_drops_dependent_rows():
     assert np.abs(basis @ basis.T - np.eye(2)).max() < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 9), st.integers(0, 7))
+def test_orthonormalize_properties_hypothesis(seed, n, k, rank):
+    # Rows of a generic rank-r product: well conditioned up to their rank.
+    rng = np.random.default_rng(seed)
+    r = min(rank, n, k)
+    rows = rng.standard_normal((k, r)) @ rng.standard_normal((r, n))
+    basis = orthonormalize(rows)
+    assert basis.shape == (np.linalg.matrix_rank(rows), n)
+    assert np.abs(basis @ basis.T - np.eye(basis.shape[0])).max(initial=0.0) < 1e-12
+    assert np.abs(rows - rows @ basis.T @ basis).max() <= 1e-10 * max(np.abs(rows).max(), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Angles
 # ---------------------------------------------------------------------------

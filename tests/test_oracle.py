@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kacrice import curves
+from kacrice import curves, oracle
 from kacrice.errors import DomainError
 from kacrice.fields import (
     Realization,
@@ -83,8 +83,15 @@ def test_count_arc_restriction():
     assert cs.count == 5
 
 
-def test_signed_count_alternates_to_zero():
-    assert count_signed_zeros_circle(harmonic_realization()).count == 0
+def test_signed_count_alternates_to_zero(monkeypatch):
+    grids = []
+    root_pass = oracle._circle_roots
+    monkeypatch.setattr(oracle, "_circle_roots",
+                        lambda r, grid_n, *a: grids.append(grid_n) or root_pass(r, grid_n, *a))
+    cs = count_signed_zeros_circle(harmonic_realization(), grid_n=256)
+    assert cs.count == 0
+    assert cs.diagnostics["n_roots"] == 10
+    assert sorted(grids) == [256, 512]  # one pass plus its grid-doubling audit
 
 
 def test_signed_count_kostlan_samples():
@@ -163,13 +170,6 @@ def test_mc_fixed_seed_reproducible():
     a = mc_expected_count(model, count_zeros_circle, 60, seed=7)
     b = mc_expected_count(model, count_zeros_circle, 60, seed=7)
     assert a == b
-
-
-def test_mc_worker_count_does_not_change_result():
-    model = kostlan_model(1, 9)
-    a = mc_expected_count(model, count_zeros_circle, 60, seed=7, workers=1)
-    b = mc_expected_count(model, count_zeros_circle, 60, seed=7, workers=4)
-    assert a.value == b.value and a.n == b.n
 
 
 def test_mc_flags_when_too_many_samples_unresolved():
