@@ -86,7 +86,7 @@ def area_formula_check(
     change = fpx[:-1] * fpx[1:] < 0.0
     crit = np.zeros(0)
     if change.any():
-        crit, _ = _bisect_circle(fprime, xs[:-1][change], xs[1:][change], _BISECT_TOL)
+        (crit,), _ = _bisect_circle(fprime, [(xs[:-1][change], xs[1:][change])], _BISECT_TOL)
     node_zero = xs[np.abs(fpx) == 0.0]
     crit = np.concatenate([crit, node_zero])
 
@@ -114,8 +114,8 @@ def area_formula_check(
                 s = fx - q
             hit = s[:-1] * s[1:] < 0.0
             if hit.any():
-                roots, _ = _bisect_circle(lambda t: f(t) - q, xs[:-1][hit], xs[1:][hit],
-                                          _BISECT_TOL)
+                (roots,), _ = _bisect_circle(lambda t: f(t) - q, [(xs[:-1][hit], xs[1:][hit])],
+                                             _BISECT_TOL)
                 sums[idx] = float(np.sum(weight(roots)))
             else:
                 sums[idx] = 0.0
@@ -187,13 +187,15 @@ def _segment_endpoints(S, xs, ys, f, q):
     if sx.any():
         ii, jj = np.nonzero(sx)
         y_fix = ys[jj]
-        roots, _ = _bisect_circle(lambda t: f(t, y_fix) - q, xs[ii], xs[ii + 1], _BISECT_TOL)
+        (roots,), _ = _bisect_circle(lambda t: f(t, y_fix) - q, [(xs[ii], xs[ii + 1])],
+                                     _BISECT_TOL)
         hx[ii, jj] = roots
     vy = np.full(sy.shape, np.nan)
     if sy.any():
         ii, jj = np.nonzero(sy)
         x_fix = xs[ii]
-        roots, _ = _bisect_circle(lambda t: f(x_fix, t) - q, ys[jj], ys[jj + 1], _BISECT_TOL)
+        (roots,), _ = _bisect_circle(lambda t: f(x_fix, t) - q, [(ys[jj], ys[jj + 1])],
+                                     _BISECT_TOL)
         vy[ii, jj] = roots
 
     bottom, top = sx[:, :-1], sx[:, 1:]

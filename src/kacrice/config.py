@@ -171,4 +171,8 @@ def _validate_target(target: dict) -> dict:
 
 def _validate_params(params: dict) -> dict:
     _require_keys(params, "$.params", allowed=set(PARAM_DEFAULTS))
+    for key, value in params.items():
+        kind = type(PARAM_DEFAULTS[key])  # type(True) is bool, so bools are rejected
+        if kind is not list and not (type(value) in (int, kind) and 0 < value < float("inf")):
+            raise ConfigurationError(f"$.params.{key} must be a finite positive {kind.__name__}")
     return dict(params)

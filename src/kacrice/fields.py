@@ -108,47 +108,45 @@ class MonomialBasis:
         self.n_vars = self.exponents.shape[1]
 
     def _power_tables(self, pts: np.ndarray) -> list[np.ndarray]:
+        """Per variable v, rows t[e] = x_v^e (e_max + 1, N) as cumulative products."""
         tables = []
         for v in range(self.n_vars):
-            e_max = int(self.exponents[:, v].max())
-            t = np.empty((pts.shape[0], e_max + 1))
-            t[:, 0] = 1.0
-            for e in range(1, e_max + 1):
-                t[:, e] = t[:, e - 1] * pts[:, v]
+            t = np.empty((int(self.exponents[:, v].max()) + 1, pts.shape[0]))
+            t[0] = 1.0
+            if pts.shape[0] < 128:  # accumulate costs per point, the row loop per row
+                t[1:] = pts[:, v]
+                np.multiply.accumulate(t, axis=0, out=t)
+            else:
+                for e in range(1, t.shape[0]):
+                    np.multiply(t[e - 1], pts[:, v], out=t[e])
             tables.append(t)
         return tables
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         """Values at points (N, n_vars) -> (N, n_funcs)."""
-        pts = np.atleast_2d(pts)
-        tabs = self._power_tables(pts)
-        vals = np.ones((pts.shape[0], self.n_funcs))
-        for v in range(self.n_vars):
-            vals *= tabs[v][:, self.exponents[:, v]]
-        return vals * self.scales
-
-    def gradient(self, pts: np.ndarray) -> np.ndarray:
-        """Ambient gradients at points -> (N, n_funcs, n_vars)."""
-        return self.evaluate_and_gradient(pts)[1]
+        tabs = self._power_tables(np.atleast_2d(pts))
+        vals = tabs[0][self.exponents[:, 0]]  # (n_funcs, N) rows x_0^alpha_0
+        for v in range(1, self.n_vars):
+            vals *= tabs[v][self.exponents[:, v]]
+        return np.multiply(vals.T, self.scales, order="C")
 
     def evaluate_and_gradient(self, pts: np.ndarray):
         """(values, gradients) sharing one set of power tables."""
         pts = np.atleast_2d(pts)
         tabs = self._power_tables(pts)
-        n = pts.shape[0]
-        cols = [tabs[v][:, self.exponents[:, v]] for v in range(self.n_vars)]
+        cols = [tabs[v][self.exponents[:, v]] for v in range(self.n_vars)]
         vals = cols[0].copy()
         for v in range(1, self.n_vars):
             vals *= cols[v]
-        out = np.empty((n, self.n_funcs, self.n_vars))
+        out = np.empty((pts.shape[0], self.n_funcs, self.n_vars))
         for j in range(self.n_vars):
             e = self.exponents[:, j]
-            g = e * tabs[j][:, np.maximum(e - 1, 0)]  # e=0 rows vanish
+            g = e[:, None] * tabs[j][np.maximum(e - 1, 0)]  # e=0 rows vanish
             for v in range(self.n_vars):
                 if v != j:
-                    g = g * cols[v]
-            out[:, :, j] = g * self.scales
-        return vals * self.scales, out
+                    g *= cols[v]
+            out[:, :, j] = g.T * self.scales
+        return np.multiply(vals.T, self.scales, order="C"), out
 
 
 def kostlan_basis(n_vars: int, degree: int) -> MonomialBasis:
@@ -195,6 +193,7 @@ class FieldModel:
             if self.coeff_cov.shape != (self.n_coeffs, self.n_coeffs):
                 raise DomainError("coefficient covariance shape mismatch")
         self._factor: Optional[np.ndarray] = None
+        self._grid_basis: dict[int, list[np.ndarray]] = {}
 
     # -- basis matrices ----------------------------------------------------
 
@@ -222,7 +221,7 @@ class FieldModel:
         col = 0
         for mix, basis in self.components:
             b = mix.shape[1]
-            grads = basis.gradient(pts)  # (N, f, v)
+            grads = basis.evaluate_and_gradient(pts)[1]  # (N, f, v)
             f = basis.n_funcs
             for ch in range(b):
                 block = grads[:, None, :, :] * mix[None, :, ch, None, None]
@@ -233,11 +232,22 @@ class FieldModel:
     def scalar_value(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Values (N,) for scalar fields without materializing basis tensors."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vals = np.zeros(pts.shape[0])
+        return self._contract(coeffs, [basis.evaluate(pts) for _, basis in self.components])
+
+    def circle_grid_values(self, coeffs: np.ndarray, grid_n: int):
+        """(thetas 2 pi i / grid_n, scalar values there); basis values are cached per grid_n."""
+        thetas = np.arange(grid_n) * (2.0 * np.pi / grid_n)
+        if grid_n not in self._grid_basis:
+            pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+            self._grid_basis[grid_n] = [b.evaluate(pts) for _, b in self.components]
+        return thetas, self._contract(coeffs, self._grid_basis[grid_n])
+
+    def _contract(self, coeffs: np.ndarray, basis_vals: list[np.ndarray]) -> np.ndarray:
+        """Scalar values sum_ch (basis values) @ (mix * channel coefficients)."""
+        vals = np.zeros(basis_vals[0].shape[0])
         col = 0
-        for mix, basis in self.components:
+        for (mix, basis), bv in zip(self.components, basis_vals):
             f = basis.n_funcs
-            bv = basis.evaluate(pts)
             for ch in range(mix.shape[1]):
                 vals += bv @ (mix[0, ch] * coeffs[col:col + f])
                 col += f
@@ -521,15 +531,15 @@ class ConditionedField:
         self.kpp = model.kernel(p, p)
         if smallest_eigenvalue(self.kpp) <= EIG_FLOOR:
             raise DegenerateModelError("K(p, p) is numerically singular")
+        self._phi_p = model.phi(self.p[None, :])[0]
+        self._kpp_inv_q = np.linalg.solve(self.kpp, q)
 
     def mean(self, pts: np.ndarray) -> np.ndarray:
         """Conditional mean A(u, p) q at each point."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         phi_u = self.model.phi(pts)
-        phi_p = self.model.phi(self.p[None, :])[0]
-        kup = np.einsum("nkr,rs,ls->nkl", phi_u, self.model.coeff_cov, phi_p)
-        a = np.linalg.solve(self.kpp, self.q)
-        out = kup @ a
+        kup = np.einsum("nkr,rs,ls->nkl", phi_u, self.model.coeff_cov, self._phi_p)
+        out = kup @ self._kpp_inv_q
         return out[:, 0] if self.model.output_dim == 1 else out
 
     def sample(self, seed) -> "ConditionedRealization":
@@ -543,14 +553,13 @@ class ConditionedRealization:
         self.seed = base.seed
         xp = base.value(parent.p[None, :])
         delta = parent.q - np.atleast_1d(xp[0])
-        self._phi_p = parent.model.phi(parent.p[None, :])[0]
         self._kpp_inv_delta = np.linalg.solve(parent.kpp, delta)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         model = self.parent.model
         phi_u = model.phi(pts)
-        kup = np.einsum("nkr,rs,ls->nkl", phi_u, model.coeff_cov, self._phi_p)
+        kup = np.einsum("nkr,rs,ls->nkl", phi_u, model.coeff_cov, self.parent._phi_p)
         out = phi_u @ self.base.coeffs + kup @ self._kpp_inv_delta
         return out[:, 0] if model.output_dim == 1 else out
 

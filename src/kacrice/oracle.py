@@ -36,45 +36,29 @@ class CountSample:
 # Zeros of scalar fields on the circle
 # ---------------------------------------------------------------------------
 
-def _bisect_circle(func, lo, hi, tol):
-    """Vectorized bisection of sign-change brackets [lo, hi] (nonempty arrays)
-    down to width tol; returns (midpoints, steps)."""
-    flo = func(lo)
+def _bisect_circle(func, groups, tol):
+    """Vectorized bisection of sign-change brackets down to width tol.
+
+    ``groups`` lists (lo, hi) bracket arrays; each group stops once its own widest
+    bracket is <= tol, exactly as if bisected alone, and every step makes one call
+    of func on the brackets still running.  Returns (midpoints per group, steps)."""
+    los, his = map(list, zip(*groups))
+    flos = np.split(func(np.concatenate(los)), np.cumsum([lo.size for lo in los])[:-1])
     steps = 0
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        fm = func(mid)
-        left = flo * fm <= 0.0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-        steps += 1
-        if steps > 200:
+    while steps <= 200:
+        run = [i for i, lo in enumerate(los) if lo.size and np.max(his[i] - lo) > tol]
+        if not run:
             break
-    return 0.5 * (lo + hi), steps
-
-
-def _circle_roots(realization: Realization, grid_n: int, tol: float, level: float = 0.0):
-    thetas = np.arange(grid_n) * (2.0 * np.pi / grid_n)
-    vals = realization.circle_values(thetas) - level
-    vals_wrapped = np.append(vals, vals[0])
-    node_zero = np.abs(vals) < 1e-14
-    prod = vals_wrapped[:-1] * vals_wrapped[1:]
-    change = prod < 0.0
-    roots = [thetas[node_zero]]
-    steps = 0
-    if change.any():
-        lo = thetas[change]
-        hi = lo + 2.0 * np.pi / grid_n
-        mids, steps = _bisect_circle(lambda t: realization.circle_values(t) - level,
-                                     lo, hi, tol)
-        roots.append(np.mod(mids, 2.0 * np.pi))
-    out = np.sort(np.concatenate(roots))
-    # Merge duplicates created by node-zeros adjacent to a sign change.
-    if out.size > 1:
-        gaps = np.diff(out, append=out[0] + 2.0 * np.pi)
-        out = out[gaps > tol * 10]
-    return out, steps
+        mids = [0.5 * (los[i] + his[i]) for i in run]
+        fms = func(np.concatenate(mids))
+        for i, mid in zip(run, mids):
+            fm, fms = fms[:mid.size], fms[mid.size:]
+            left = flos[i] * fm <= 0.0
+            his[i] = np.where(left, mid, his[i])
+            los[i] = np.where(left, los[i], mid)
+            flos[i] = np.where(left, flos[i], fm)
+        steps += 1
+    return [0.5 * (lo + hi) for lo, hi in zip(los, his)], steps
 
 
 def _audited_circle_roots(realization: Realization, grid_n: int, tol: float,
@@ -83,8 +67,23 @@ def _audited_circle_roots(realization: Realization, grid_n: int, tol: float,
     audit flags them ("" when it does not)."""
     if realization.model.output_dim != 1:
         raise DomainError("circle zero counting needs a scalar field")
-    roots, steps = _circle_roots(realization, grid_n, tol, level)
-    roots2, _ = _circle_roots(realization, 2 * grid_n, tol, level)
+    node_zeros, brackets = [], []
+    for n in (grid_n, 2 * grid_n):
+        thetas, vals = realization.model.circle_grid_values(realization.coeffs, n)
+        vals -= level
+        node_zeros.append(thetas[np.abs(vals) < 1e-14])
+        lo = thetas[vals * np.roll(vals, -1) < 0.0]
+        brackets.append((lo, lo + 2.0 * np.pi / n))
+    mids, steps = _bisect_circle(lambda t: realization.circle_values(t) - level,
+                                 brackets, tol)
+    found = []
+    for zeros, mid in zip(node_zeros, mids):
+        out = np.sort(np.concatenate([zeros, np.mod(mid, 2.0 * np.pi)]))
+        # Merge duplicates created by node-zeros adjacent to a sign change.
+        if out.size > 1:
+            out = out[np.diff(out, append=out[0] + 2.0 * np.pi) > tol * 10]
+        found.append(out)
+    roots, roots2 = found
     min_sep = float("inf")
     if roots.size > 1:
         min_sep = float(np.diff(roots, append=roots[0] + 2.0 * np.pi).min())

@@ -127,6 +127,22 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["run", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid_n", 0), ("grid_n", -4), ("grid_n", 2.5), ("grid_n", True),
+    ("n_realizations", 0), ("n_samples", "10"), ("fiber_nodes", None),
+    ("n_seeds", -1), ("region_nodes", 0), ("n_rotations", 1.0),
+    ("max_segment", 0.0), ("max_segment", -1e-3), ("max_segment", float("inf")),
+    ("max_segment", float("nan")), ("max_segment", False),
+])
+def test_bad_count_params_exit_2(tmp_path, capsys, key, value):
+    cfg = point_count_config(tmp_path)
+    cfg["params"][key] = value
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"$.params.{key}" in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 

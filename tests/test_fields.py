@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacrice.errors import DegenerateModelError, DomainError
 from kacrice.fields import (
+    MonomialBasis,
     circle_domain,
     condition,
     conditional_jet_law,
@@ -46,6 +49,70 @@ def test_sphere_tangent_frame_rule():
         assert np.abs(frame.T @ frame - np.eye(2)).max() < 1e-14
         assert np.abs(p @ frame).max() < 1e-14
         assert np.array_equal(t2[i], np.cross(p, t1[i]))
+
+
+# ---------------------------------------------------------------------------
+# Basis evaluation
+# ---------------------------------------------------------------------------
+
+def loop_basis(basis, pts):
+    """Reference (values, gradients): power tables built one exponent at a time."""
+    tabs = []
+    for v in range(basis.n_vars):
+        t = np.empty((pts.shape[0], basis.exponents[:, v].max() + 1))
+        t[:, 0] = 1.0
+        for e in range(1, t.shape[1]):
+            t[:, e] = t[:, e - 1] * pts[:, v]
+        tabs.append(t)
+    cols = [tabs[v][:, basis.exponents[:, v]] for v in range(basis.n_vars)]
+    vals = np.ones((pts.shape[0], basis.n_funcs))
+    for c in cols:
+        vals *= c
+    grads = np.empty((pts.shape[0], basis.n_funcs, basis.n_vars))
+    for j in range(basis.n_vars):
+        e = basis.exponents[:, j]
+        g = e * tabs[j][:, np.maximum(e - 1, 0)]
+        for v in range(basis.n_vars):
+            if v != j:
+                g = g * cols[v]
+        grads[:, :, j] = g * basis.scales
+    return vals * basis.scales, grads
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_vars=st.integers(1, 3), degree=st.integers(0, 25),
+       n_pts=st.integers(1, 2048), seed=st.integers(0, 2**32 - 1))
+def test_basis_matches_exponent_loop_bitwise(n_vars, degree, n_pts, seed):
+    rng = np.random.default_rng(seed)
+    n_funcs = int(rng.integers(1, 30))
+    exps = rng.integers(0, degree + 1, size=(n_funcs, n_vars))
+    exps[0, 0] = degree
+    basis = MonomialBasis(exps, rng.standard_normal(n_funcs))
+    pts = rng.standard_normal((n_pts, n_vars))
+    vals, grads = loop_basis(basis, pts)
+    assert np.array_equal(basis.evaluate(pts), vals)
+    got_vals, got_grads = basis.evaluate_and_gradient(pts)
+    assert np.array_equal(got_vals, vals) and np.array_equal(got_grads, grads)
+
+
+def test_circle_grid_values_cached_and_bitwise(monkeypatch):
+    models = [kostlan_model(1, 25), isotropic_model([np.eye(1), 0.5 * np.eye(1)])]
+    for model in models:
+        for grid_n in (7, 1024, 2048):
+            r = sample(model, grid_n)
+            thetas, vals = model.circle_grid_values(r.coeffs, grid_n)
+            assert np.array_equal(thetas, np.arange(grid_n) * (2.0 * np.pi / grid_n))
+            assert np.array_equal(vals, r.circle_values(thetas))
+    calls = []
+    evaluate = MonomialBasis.evaluate
+    monkeypatch.setattr(MonomialBasis, "evaluate",
+                        lambda b, pts: calls.append(len(pts)) or evaluate(b, pts))
+    for model in models:
+        for s in range(3):
+            model.circle_grid_values(sample(model, s).coeffs, 1024)
+            model.circle_grid_values(sample(model, s).coeffs, 512)
+    # One build per (model, new grid size): 512 is new, 1024 was cached above.
+    assert calls == [512, 512, 512]
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +344,17 @@ def test_conditioned_mean_matches_regression(rng):
     se = vals.std(ddof=1) / np.sqrt(n)
     assert abs(vals.mean() - a * q) < 3.0 * se
     assert cf.mean(u[None, :])[0] == pytest.approx(a * q, abs=1e-12)
+
+
+def test_conditioned_mean_bitwise_equals_direct_formula(rng):
+    model = isotropic_model([0.5 * np.eye(2), np.eye(2)], m=2)
+    p = random_sphere_point(rng, 3)
+    q = np.array([0.4, -1.1])
+    cf = condition(model, p, q)
+    pts = np.array([random_sphere_point(rng, 3) for _ in range(5)])
+    kup = np.einsum("nkr,rs,ls->nkl", model.phi(pts), model.coeff_cov,
+                    model.phi(p[None, :])[0])
+    assert np.array_equal(cf.mean(pts), kup @ np.linalg.solve(cf.kpp, q))
 
 
 def test_condition_rejects_degenerate():

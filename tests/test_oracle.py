@@ -6,6 +6,7 @@ import pytest
 from kacrice import curves, oracle
 from kacrice.errors import DomainError
 from kacrice.fields import (
+    FieldModel,
     Realization,
     circle_domain,
     custom_monomial_model,
@@ -84,14 +85,37 @@ def test_count_arc_restriction():
 
 
 def test_signed_count_alternates_to_zero(monkeypatch):
-    grids = []
-    root_pass = oracle._circle_roots
-    monkeypatch.setattr(oracle, "_circle_roots",
-                        lambda r, grid_n, *a: grids.append(grid_n) or root_pass(r, grid_n, *a))
+    grids, bisections = [], []
+    grid_values = FieldModel.circle_grid_values
+    monkeypatch.setattr(FieldModel, "circle_grid_values",
+                        lambda m, c, grid_n: grids.append(grid_n) or grid_values(m, c, grid_n))
+    bisect = oracle._bisect_circle
+    monkeypatch.setattr(oracle, "_bisect_circle",
+                        lambda f, groups, tol: bisections.append(len(groups))
+                        or bisect(f, groups, tol))
     cs = count_signed_zeros_circle(harmonic_realization(), grid_n=256)
     assert cs.count == 0
     assert cs.diagnostics["n_roots"] == 10
     assert sorted(grids) == [256, 512]  # one pass plus its grid-doubling audit
+    assert bisections == [2]  # one bisection serves both grids
+
+
+def test_grouped_bisection_equals_separate_calls():
+    model = kostlan_model(1, 25)
+    for s in range(5):
+        r = sample(model, s)
+        groups = []
+        for n in (64, 1024, 2048):
+            thetas = np.arange(n) * (2.0 * np.pi / n)
+            vals = r.circle_values(thetas)
+            lo = thetas[vals * np.roll(vals, -1) < 0.0]
+            groups.append((lo, lo + 2.0 * np.pi / n))
+        groups.append((np.zeros(0), np.zeros(0)))
+        mids, steps = oracle._bisect_circle(r.circle_values, groups, 1e-12)
+        alone = [oracle._bisect_circle(r.circle_values, [g], 1e-12) for g in groups]
+        for mid, ((mid_alone,), _) in zip(mids, alone):
+            assert np.array_equal(mid, mid_alone)
+        assert steps == max(steps_alone for _, steps_alone in alone)
 
 
 def test_signed_count_kostlan_samples():
