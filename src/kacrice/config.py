@@ -27,14 +27,13 @@ EXPERIMENTS = (
 )
 
 MODEL_KINDS = ("kostlan", "mixed_kostlan", "custom_basis")
-TARGET_KINDS = ("point", "circle", "subspace", "exp_growth", "curve_pair", "half_line")
+TARGET_KINDS = ("point", "circle", "subspace", "exp_growth", "curve_pair")
 CURVE_KINDS = ("great_circle", "latitude")
 
 # Every numeric parameter with its documented default.
 PARAM_DEFAULTS: dict[str, Any] = {
     "n_realizations": 2000,   # realizations per Monte Carlo oracle estimate
     "n_samples": 20000,       # inner Monte Carlo jets per density evaluation
-    "fiber_nodes": 256,       # cubature nodes on the target submanifold
     "grid_n": 1024,           # circle grid for sign-change root counting
     "n_seeds": 1500,          # Newton seed grid size on the sphere
     "region_nodes": 16,       # outer cubature nodes on the base manifold
@@ -155,7 +154,7 @@ def _validate_target(target: dict) -> dict:
         return {}
     _require_keys(target, "$.target",
                   allowed={"kind", "y", "radius", "ambient_dim", "subspace_dim",
-                           "curve1", "curve2", "threshold"})
+                           "curve1", "curve2"})
     kind = target.get("kind")
     if kind not in TARGET_KINDS:
         raise ConfigurationError(f"unknown target kind {kind!r} at $.target.kind")

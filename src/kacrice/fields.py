@@ -464,11 +464,6 @@ class Realization:
             return self.model.scalar_value(self.coeffs, pts)
         return self.model.phi(pts) @ self.coeffs
 
-    def ambient_gradient(self, pts: np.ndarray) -> np.ndarray:
-        """(N, k, amb) ambient gradients; scalar fields squeeze to (N, amb)."""
-        g = np.einsum("nkrv,r->nkv", self.model.dphi(pts), self.coeffs)
-        return g[:, 0, :] if self.model.output_dim == 1 else g
-
     def value_and_ambient_gradient(self, pts: np.ndarray):
         """Fused (values, ambient gradients) for scalar fields."""
         return self.model.scalar_value_and_gradient(self.coeffs, pts)
@@ -481,7 +476,7 @@ class Realization:
         """d/dtheta of a scalar field along the unit circle."""
         pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         tang = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1)
-        g = self.ambient_gradient(pts)
+        g = self.value_and_ambient_gradient(pts)[1]
         return np.sum(g * tang, axis=1)
 
 
@@ -531,15 +526,13 @@ class ConditionedField:
         self.kpp = model.kernel(p, p)
         if smallest_eigenvalue(self.kpp) <= EIG_FLOOR:
             raise DegenerateModelError("K(p, p) is numerically singular")
-        self._phi_p = model.phi(self.p[None, :])[0]
+        # K(u, p) = phi(u) @ _cov_phi_p: the regression term, (n_coeffs, k).
+        self._cov_phi_p = model.coeff_cov @ model.phi(self.p[None, :])[0].T
         self._kpp_inv_q = np.linalg.solve(self.kpp, q)
 
     def mean(self, pts: np.ndarray) -> np.ndarray:
         """Conditional mean A(u, p) q at each point."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        phi_u = self.model.phi(pts)
-        kup = np.einsum("nkr,rs,ls->nkl", phi_u, self.model.coeff_cov, self._phi_p)
-        out = kup @ self._kpp_inv_q
+        out = self.model.phi(pts) @ self._cov_phi_p @ self._kpp_inv_q
         return out[:, 0] if self.model.output_dim == 1 else out
 
     def sample(self, seed) -> "ConditionedRealization":
@@ -556,11 +549,9 @@ class ConditionedRealization:
         self._kpp_inv_delta = np.linalg.solve(parent.kpp, delta)
 
     def value(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         model = self.parent.model
         phi_u = model.phi(pts)
-        kup = np.einsum("nkr,rs,ls->nkl", phi_u, model.coeff_cov, self.parent._phi_p)
-        out = phi_u @ self.base.coeffs + kup @ self._kpp_inv_delta
+        out = phi_u @ self.base.coeffs + phi_u @ self.parent._cov_phi_p @ self._kpp_inv_delta
         return out[:, 0] if model.output_dim == 1 else out
 
 

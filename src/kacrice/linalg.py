@@ -153,23 +153,26 @@ def orthogonal_projection(V: Subspace, x: np.ndarray) -> np.ndarray:
     return V.project(x)
 
 
-def intersect(V: Subspace, W: Subspace) -> Subspace:
-    """Numerical V ∩ W = (V_perp + W_perp)_perp with rank thresholding."""
+def _split(V: Subspace, W: Subspace):
+    """(V ∩ W, V ∩ (V∩W)_perp) as orthonormal rows, from one SVD.
+
+    The singular values of V.basis - Pi_W V.basis are the sines of the
+    principal angles from V to W; the left singular vectors with sine at most
+    TAU_RANK give the directions of V inside W, and the others the rest of V.
+    """
     if V.ambient_dim != W.ambient_dim:
         raise DomainError("subspaces live in different ambient spaces")
-    stacked = np.vstack([V.orthogonal_complement().basis,
-                         W.orthogonal_complement().basis])
-    if stacked.shape[0] == 0:
-        return Subspace(np.eye(V.ambient_dim))
-    return Subspace.span(stacked).orthogonal_complement()
+    if V.dim == 0:
+        return V.basis, V.basis
+    u, s, _ = np.linalg.svd(V.basis - W.project(V.basis), full_matrices=False)
+    frames = u.T @ V.basis
+    inside = s <= TAU_RANK
+    return frames[inside], frames[~inside]
 
 
-def _complement_frame(V: Subspace, inter: Subspace) -> np.ndarray:
-    """Orthonormal basis of V ∩ inter_perp (rows); empty when V ⊆ inter."""
-    if inter.dim == 0:
-        return V.basis
-    residual = V.basis - inter.project(V.basis)
-    return orthonormalize(residual)
+def intersect(V: Subspace, W: Subspace) -> Subspace:
+    """Numerical V ∩ W with rank thresholding."""
+    return Subspace(_split(V, W)[0])
 
 
 def principal_angle(V: Subspace, W: Subspace) -> float:
@@ -179,11 +182,8 @@ def principal_angle(V: Subspace, W: Subspace) -> float:
     V ∩ (V∩W)_perp and W ∩ (V∩W)_perp; returns exactly 1.0 when one
     subspace is contained in the other (up to the rank threshold).
     """
-    if V.ambient_dim != W.ambient_dim:
-        raise DomainError("subspaces live in different ambient spaces")
-    inter = intersect(V, W)
-    v = _complement_frame(V, inter)
-    w = _complement_frame(W, inter)
+    v = _split(V, W)[1]
+    w = _split(W, V)[1]
     if v.shape[0] == 0 or w.shape[0] == 0:
         return 1.0
     # v and w are orthonormal, so vol(v) = vol(w) = 1.
@@ -193,14 +193,10 @@ def principal_angle(V: Subspace, W: Subspace) -> float:
 
 def angle_via_projection(V: Subspace, W: Subspace) -> float:
     """sigma(V, W) as vol(Pi_{V_perp}(w)) / vol(w); requires W ⊄ V."""
-    if V.ambient_dim != W.ambient_dim:
-        raise DomainError("subspaces live in different ambient spaces")
-    inter = intersect(V, W)
-    w = _complement_frame(W, inter)
+    w = _split(W, V)[1]
     if w.shape[0] == 0:
         raise DomainError("angle_via_projection requires W not contained in V")
-    projected = w - V.project(w)
-    vol = frame_volume(projected) if projected.shape[0] <= projected.shape[1] else 0.0
+    vol = frame_volume(w - V.project(w))
     return min(vol, 1.0) if vol > 0.0 else float(vol)
 
 

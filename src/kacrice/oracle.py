@@ -151,13 +151,26 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
+def _projective_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """RP^2 distances min(|a - b|, |a + b|) between the rows of a (N, 3) and b (M, 3)."""
+    a, b = a[:, None, :], b[None, :, :]
+    return np.minimum(np.linalg.norm(a - b, axis=2), np.linalg.norm(a + b, axis=2))
+
+
 def _projective_dedup(roots: np.ndarray, radius: float) -> np.ndarray:
-    kept: list[np.ndarray] = []
-    for r in roots:
-        dup = any(min(np.linalg.norm(r - k), np.linalg.norm(r + k)) < radius for k in kept)
-        if not dup:
-            kept.append(r)
-    return np.array(kept) if kept else np.zeros((0, 3))
+    """Roots not within radius (in RP^2) of an earlier kept root, in input order.
+
+    Each kept root is the first one not yet covered, and it covers every root
+    within radius of it; a root can only be covered by an earlier kept root,
+    so this is the sequential greedy selection."""
+    uncovered = np.ones(roots.shape[0], dtype=bool)
+    kept = []
+    while uncovered.any():
+        i = int(np.argmax(uncovered))
+        kept.append(i)
+        uncovered &= _projective_distances(roots[i:i + 1], roots)[0] >= radius
+        uncovered[i] = False  # also when radius <= 0
+    return roots[kept]
 
 
 def count_common_zeros_sphere(r1: Realization, r2: Realization,
@@ -176,6 +189,18 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization,
 
     def residual(pts):
         return np.maximum(np.abs(r1.value(pts)), np.abs(r2.value(pts)))
+
+    def tangential_system(pts):
+        """(f1, f2, tangent frames t1 and t2, Jacobian entries (a, b, c, d), det):
+        J = [[a, b], [c, d]] holds the derivatives of (f1, f2) along (t1, t2)."""
+        f1, g1 = r1.value_and_ambient_gradient(pts)
+        f2, g2 = r2.value_and_ambient_gradient(pts)
+        t1, t2 = _sphere_tangent_frames(pts)
+        a = (g1 * t1).sum(1)
+        b = (g1 * t2).sum(1)
+        c = (g2 * t1).sum(1)
+        d = (g2 * t2).sum(1)
+        return f1, f2, t1, t2, (a, b, c, d), a * d - b * c
 
     def newton_pass(pts, iters):
         """Damped projected Newton; returns (roots, n_unfinished).
@@ -199,15 +224,8 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization,
                 pts, res = pts[~done], res[~done]
                 if pts.shape[0] == 0:
                     break
-            f1, g1 = r1.value_and_ambient_gradient(pts)
-            f2, g2 = r2.value_and_ambient_gradient(pts)
-            t1, t2 = _sphere_tangent_frames(pts)
             # 2x2 tangential systems J delta = -F, solved in closed form.
-            a = (g1 * t1).sum(1)
-            b = (g1 * t2).sum(1)
-            c = (g2 * t1).sum(1)
-            d = (g2 * t2).sum(1)
-            det = a * d - b * c
+            f1, f2, t1, t2, (a, b, c, d), det = tangential_system(pts)
             degenerate = np.abs(det) < 1e-300
             safe = np.where(degenerate, 1.0, det)
             d1 = (-f1 * d + f2 * b) / safe
@@ -265,10 +283,8 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization,
 
     min_sep = float("inf")
     if proj.shape[0] > 1:
-        for i in range(proj.shape[0]):
-            for j in range(i + 1, proj.shape[0]):
-                d = min(np.linalg.norm(proj[i] - proj[j]), np.linalg.norm(proj[i] + proj[j]))
-                min_sep = min(min_sep, float(d))
+        dist = _projective_distances(proj, proj)
+        min_sep = float(dist[np.triu_indices(proj.shape[0], 1)].min())
 
     if proj.shape[0]:
         # Antipodal pairing is exact for (anti)symmetric homogeneous fields.
@@ -279,12 +295,7 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization,
         if parity_err > 1e-8:
             flagged, reason = True, "antipodal parity violated at roots"
         # Transversality: the tangential 2x2 Jacobian must be invertible.
-        g1 = r1.ambient_gradient(proj)
-        g2 = r2.ambient_gradient(proj)
-        t1, t2 = _sphere_tangent_frames(proj)
-        det = ((g1 * t1).sum(1) * (g2 * t2).sum(1)
-               - (g1 * t2).sum(1) * (g2 * t1).sum(1))
-        if np.abs(det).min() < 1e-8:
+        if np.abs(tangential_system(proj)[-1]).min() < 1e-8:
             flagged, reason = True, "non-transverse intersection at a root"
 
     return CountSample(count=int(proj.shape[0]), seed=r1.seed,

@@ -129,7 +129,7 @@ def test_invalid_config_exits_2(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("grid_n", 0), ("grid_n", -4), ("grid_n", 2.5), ("grid_n", True),
-    ("n_realizations", 0), ("n_samples", "10"), ("fiber_nodes", None),
+    ("n_realizations", 0), ("n_samples", "10"), ("n_samples", None),
     ("n_seeds", -1), ("region_nodes", 0), ("n_rotations", 1.0),
     ("max_segment", 0.0), ("max_segment", -1e-3), ("max_segment", float("inf")),
     ("max_segment", float("nan")), ("max_segment", False),
@@ -140,6 +140,21 @@ def test_bad_count_params_exit_2(tmp_path, capsys, key, value):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert f"$.params.{key}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, value, path", [
+    ("params", {"n_realizations": 60, "fiber_nodes": 3}, "$.params.fiber_nodes"),
+    ("target", {"kind": "half_line", "y": [0.0]}, "$.target.kind"),
+    ("target", {"kind": "point", "y": [0.0], "threshold": 0.7}, "$.target.threshold"),
+])
+def test_unread_config_values_exit_2(tmp_path, capsys, section, value, path):
+    # No experiment reads these values, so a config that sets them is rejected.
+    cfg = point_count_config(tmp_path)
+    cfg[section] = value
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert path in err
     assert "Traceback" not in err
 
 

@@ -262,6 +262,25 @@ def test_same_seed_bit_identical():
     assert not np.array_equal(sample(model, 99).coeffs, sample(model, 100).coeffs)
 
 
+@pytest.mark.parametrize("name, model", [
+    ("kostlan_circle", kostlan_model(1, 25)),
+    ("kostlan_sphere", kostlan_model(2, 4)),
+    ("mixed_1_plus_t", isotropic_model([np.eye(1), np.eye(1)], m=1)),
+    ("correlated_custom", custom_monomial_model(
+        circle_domain(), [[2, 0], [1, 1], [0, 3]],
+        np.array([[2.0, 0.7, 0.1], [0.7, 1.0, 0.3], [0.1, 0.3, 0.5]]))),
+])
+def test_value_and_gradient_equals_dphi_contraction(rng, name, model):
+    # The fused scalar gradient is the contraction of the materialized
+    # basis-gradient tensor with the coefficients, bit for bit.
+    for s in range(5):
+        r = sample(model, s)
+        pts = np.array([random_sphere_point(rng, model.domain.ambient_dim)
+                        for _ in range(17)])
+        ref = np.einsum("nkrv,r->nkv", model.dphi(pts), r.coeffs)[:, 0, :]
+        assert np.array_equal(r.value_and_ambient_gradient(pts)[1], ref)
+
+
 def test_empirical_variance_matches_kernel(rng):
     model = kostlan_model(1, 4)
     x = random_sphere_point(rng, 2)[None, :]
@@ -352,9 +371,13 @@ def test_conditioned_mean_bitwise_equals_direct_formula(rng):
     q = np.array([0.4, -1.1])
     cf = condition(model, p, q)
     pts = np.array([random_sphere_point(rng, 3) for _ in range(5)])
-    kup = np.einsum("nkr,rs,ls->nkl", model.phi(pts), model.coeff_cov,
-                    model.phi(p[None, :])[0])
-    assert np.array_equal(cf.mean(pts), kup @ np.linalg.solve(cf.kpp, q))
+    phi_p = model.phi(p[None, :])[0]
+    kpp_inv_q = np.linalg.solve(cf.kpp, q)
+    direct = model.phi(pts) @ (model.coeff_cov @ phi_p.T) @ kpp_inv_q
+    assert np.array_equal(cf.mean(pts), direct)
+    # The same K(u, p) summed in the order sum_{r,s} phi_u[r] cov[r, s] phi_p[s].
+    kup = np.einsum("nkr,rs,ls->nkl", model.phi(pts), model.coeff_cov, phi_p)
+    assert np.abs(cf.mean(pts) - kup @ kpp_inv_q).max() <= 1e-14 * np.abs(direct).max()
 
 
 def test_condition_rejects_degenerate():

@@ -103,9 +103,10 @@ def test_angle_lines_at_pi_over_six():
 
 def test_angle_matches_svd_oracle():
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        V = random_subspace(rng, 5, 2)
-        W = random_subspace(rng, 5, 3)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        V = random_subspace(rng, n, int(rng.integers(1, n)))
+        W = random_subspace(rng, n, int(rng.integers(1, n)))
         assert principal_angle(V, W) == pytest.approx(svd_angle_oracle(V, W), abs=1e-9)
 
 
@@ -115,6 +116,45 @@ def test_angle_containment_branch():
     assert principal_angle(V, W) == 1.0
     assert principal_angle(W, V) == 1.0
     assert principal_angle(V, V) == 1.0
+
+
+def _is_orthonormal(rows):
+    return np.abs(rows @ rows.T - np.eye(rows.shape[0])).max(initial=0.0) < 1e-12
+
+
+def _constructed_pairs():
+    e = np.eye(4)
+    t = 0.3
+    tilted = np.cos(t) * e[1] + np.sin(t) * e[2]
+    v_random = orthonormalize(np.random.default_rng(41).standard_normal((2, 4)))
+    # (name, V, W, dim of V ∩ W, sigma(V, W))
+    return [
+        ("contained", Subspace(e[:1]), Subspace(e[:3]), 1, 1.0),
+        ("shared_line", Subspace(e[:2]), Subspace(np.stack([e[0], tilted])), 1, np.sin(t)),
+        ("orthogonal", Subspace(e[:2]), Subspace(e[2:]), 0, 1.0),
+        ("whole_space", Subspace(v_random), Subspace(e), 2, 1.0),
+        ("zero", Subspace(np.zeros((0, 4))), Subspace(e[1:3]), 0, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("name, V, W, inter_dim, sigma", _constructed_pairs())
+def test_intersection_and_angles_on_constructed_pairs(name, V, W, inter_dim, sigma):
+    for A, B in ((V, W), (W, V)):
+        inter = intersect(A, B)
+        assert inter.dim == inter_dim
+        assert _is_orthonormal(inter.basis)
+        # V ∩ W lies in both subspaces.
+        assert np.abs(B.project(inter.basis) - inter.basis).max(initial=0.0) < 1e-12
+        assert np.abs(A.project(inter.basis) - inter.basis).max(initial=0.0) < 1e-12
+        s = principal_angle(A, B)
+        if sigma == 1.0 and min(A.dim, B.dim) - inter_dim == 0:
+            assert s == 1.0  # containment returns exactly 1.0
+        assert s == pytest.approx(sigma, abs=1e-12)
+        if B.dim - inter_dim == 0:
+            with pytest.raises(DomainError):
+                angle_via_projection(A, B)
+        else:
+            assert angle_via_projection(A, B) == pytest.approx(sigma, abs=1e-12)
 
 
 def test_angle_dimension_mismatch():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kacrice import curves, oracle
 from kacrice.errors import DomainError
@@ -164,6 +165,40 @@ def test_common_zeros_resolution_stability():
         b = count_common_zeros_sphere(sample(m2, s), sample(m3, 900 + s), n_seeds=2000)
         if not (a.flagged or b.flagged):
             assert a.count == b.count
+
+
+def sequential_projective_dedup(roots, radius):
+    """The root-by-root greedy dedup, as a reference."""
+    kept = []
+    for r in roots:
+        if not any(min(np.linalg.norm(r - k), np.linalg.norm(r + k)) < radius for k in kept):
+            kept.append(r)
+    return np.array(kept) if kept else np.zeros((0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 8))
+def test_projective_dedup_equals_sequential_loop(seed, n_chains, chain_len):
+    # Chains of near-duplicates spaced 0.3-1.1 radii apart, so roots are
+    # covered or not depending on which earlier root was kept, shuffled and
+    # with random antipodal flips.
+    rng = np.random.default_rng(seed)
+    radius = 1e-3
+    roots = []
+    for _ in range(n_chains):
+        p = rng.standard_normal(3)
+        for _ in range(chain_len):
+            p = p / np.linalg.norm(p)
+            roots.append(p)
+            step = rng.standard_normal(3)
+            step -= (step @ p) * p
+            p = p + rng.uniform(0.3, 1.1) * radius * step / np.linalg.norm(step)
+    roots = np.array(roots).reshape(-1, 3)
+    roots = roots[rng.permutation(roots.shape[0])]
+    roots *= rng.choice([-1.0, 1.0], size=(roots.shape[0], 1))
+    kept = oracle._projective_dedup(roots, radius)
+    assert np.array_equal(kept, sequential_projective_dedup(roots, radius))
+    assert kept.shape[1] == 3
 
 
 def test_fibonacci_sphere_on_unit_sphere():
