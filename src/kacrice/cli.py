@@ -25,16 +25,15 @@ import numpy as np
 
 from . import curves, formulas, level_sets, linalg, oracle
 from .config import ExperimentConfig
-from .errors import ConfigurationError, KacRiceError
+from .errors import ConfigurationError, DomainError, KacRiceError
 from .estimate import Estimate
 from .fields import (
-    circle_domain,
     custom_monomial_model,
     isotropic_model,
     isotropic_sigmas,
     kostlan_model,
     sample,
-    sphere_domain,
+    unit_sphere,
 )
 from .quadrature import circle_region
 
@@ -66,6 +65,20 @@ def _record(experiment: str, x: float, formula: float, est: Estimate | None,
 # Model and target construction from config specs
 # ---------------------------------------------------------------------------
 
+def _invalid_at(path: str):
+    """Report a DomainError raised while building from a config spec as an invalid
+    value at path (exit 2); DomainErrors raised later keep exit 3."""
+    def wrap(build):
+        def checked(spec: dict):
+            try:
+                return build(spec)
+            except DomainError as exc:
+                raise ConfigurationError(f"{exc} at {path}") from exc
+        return functools.update_wrapper(checked, build)
+    return wrap
+
+
+@_invalid_at("$.model")
 def build_model(spec: dict):
     kind = spec.get("kind")
     m = spec.get("m", 1)
@@ -75,11 +88,11 @@ def build_model(spec: dict):
         mats = [np.atleast_2d(np.asarray(a, dtype=float)) for a in spec["coeff_mats"]]
         return isotropic_model(mats, m=m)
     if kind == "custom_basis":
-        domain = circle_domain() if m == 1 else sphere_domain()
-        return custom_monomial_model(domain, spec["exponents"], spec["coeff_cov"])
+        return custom_monomial_model(unit_sphere(m), spec["exponents"], spec["coeff_cov"])
     raise ConfigurationError(f"cannot build model of kind {kind!r}")
 
 
+@_invalid_at("$.target")
 def build_curve(spec: dict):
     axis = tuple(spec.get("axis", (0.0, 0.0, 1.0)))
     if spec["kind"] == "great_circle":
@@ -103,9 +116,9 @@ def _model_sigmas(spec: dict):
 
 def _run_point_count(cfg: ExperimentConfig):
     spec = cfg.model
-    if spec.get("m", 1) != 1 or spec.get("k", 1) != 1:
-        raise ConfigurationError("point_count needs a scalar model on the circle")
     model = build_model(spec)
+    if model.output_dim != 1 or model.domain.m != 1:
+        raise ConfigurationError("point_count needs a scalar model on the circle at $.model")
     y = float(np.atleast_1d(np.asarray(cfg.target.get("y", [0.0]), float))[0])
     s0, s1 = _model_sigmas(spec)
     formula = formulas.isotropic_point_count(s0, s1, [y])
@@ -139,7 +152,7 @@ def _run_signed_count(cfg: ExperimentConfig):
     spec = cfg.model
     model = build_model(spec)
     if model.output_dim != 1 or model.domain.m != 1:
-        raise ConfigurationError("signed_count needs a scalar model on the circle")
+        raise ConfigurationError("signed_count needs a scalar model on the circle at $.model")
     counter = functools.partial(oracle.count_signed_zeros_circle,
                                 grid_n=cfg.param("grid_n"))
     est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
@@ -177,6 +190,8 @@ def _run_continuity_sweep(cfg: ExperimentConfig):
     if not grid:
         raise ConfigurationError("continuity_sweep needs params.epsilon_grid")
     d_low, d_high = cfg.model.get("degrees", [4, 9])
+    if d_low >= d_high:
+        raise ConfigurationError("continuity_sweep needs d_low < d_high at $.model.degrees")
     records = []
     flagged = False
     for eps in grid:
@@ -206,6 +221,7 @@ def _run_degree_sweep(cfg: ExperimentConfig):
     return records, flagged
 
 
+@_invalid_at("$.target")
 def _build_growth_target(spec: dict):
     kind = spec.get("kind", "subspace")
     if kind == "subspace":

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 SCHEMA_VERSION = 1
@@ -45,6 +47,15 @@ PARAM_DEFAULTS: dict[str, Any] = {
 }
 
 
+# Per grid parameter: the entries it accepts (JSON numbers, not bools or NaN).
+GRID_ENTRIES = {
+    "R_grid": ("finite positive numbers",
+               lambda v: type(v) in (int, float) and 0 < v < float("inf")),
+    "epsilon_grid": ("numbers in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
+    "degree_grid": ("integers >= 0", lambda v: type(v) is int and v >= 0),
+}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -69,12 +80,13 @@ class ExperimentConfig:
         target = _validate_target(raw.get("target", {}))
         params = _validate_params(raw.get("params", {}))
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if type(seed) is not int or seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer at $.seed")
-        output = dict(raw.get("output", {}))
+        output = raw.get("output", {})
         _require_keys(output, "$.output", allowed={"path", "format"})
-        output.setdefault("path", "")
-        output.setdefault("format", "csv")
+        output = {"path": "", "format": "csv", **output}
+        if not isinstance(output["path"], str):
+            raise ConfigurationError("output path must be a string at $.output.path")
         if output["format"] not in ("csv", "json"):
             raise ConfigurationError(
                 f"unknown format {output['format']!r} at $.output.format")
@@ -87,8 +99,6 @@ class ExperimentConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigurationError("config root must be a JSON object")
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
@@ -112,9 +122,29 @@ class ExperimentConfig:
 
 
 def _require_keys(obj: dict, path: str, allowed: set):
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{path} must be a JSON object")
     for key in obj:
         if key not in allowed:
             raise ConfigurationError(f"unknown key {key!r} at {path}.{key}")
+
+
+def _int(value, path: str, low: int) -> int:
+    if type(value) is not int or value < low:
+        raise ConfigurationError(f"{path} must be an integer >= {low}")
+    return value
+
+
+def _numbers(value, path: str, ndims: tuple, kinds: str = "if") -> None:
+    """Reject value unless it is a non-empty rectangular array of finite JSON
+    numbers (of dtype kinds: "if" any number, "i" integers) with ndim in ndims."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if (arr is None or arr.ndim not in ndims or arr.size == 0
+            or arr.dtype.kind not in kinds or not np.isfinite(arr).all()):
+        raise ConfigurationError(f"{path} must be a rectangular array of finite numbers")
 
 
 def _validate_model(model: dict) -> dict:
@@ -127,25 +157,32 @@ def _validate_model(model: dict) -> dict:
     if kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r} at $.model.kind")
     m = model.get("m", 1)
-    if m not in (1, 2):
+    if type(m) is not int or m not in (1, 2):
         raise ConfigurationError("model dimension m must be 1 or 2 at $.model.m")
     out = {"kind": kind, "m": m}
     if kind == "kostlan":
-        out["degree"] = int(model.get("degree", 1))
-        out["k"] = int(model.get("k", 1))
+        out["degree"] = _int(model.get("degree", 1), "$.model.degree", 0)
+        out["k"] = _int(model.get("k", 1), "$.model.k", 1)
     elif kind == "mixed_kostlan":
         mats = model.get("coeff_mats")
-        if not mats:
+        if not mats or not isinstance(mats, list):
             raise ConfigurationError("mixed_kostlan needs coeff_mats at $.model.coeff_mats")
+        for i, a in enumerate(mats):
+            _numbers(a, f"$.model.coeff_mats[{i}]", (0, 1, 2))
         out["coeff_mats"] = mats
     else:  # custom_basis
         if "exponents" not in model or "coeff_cov" not in model:
             raise ConfigurationError(
                 "custom_basis needs exponents and coeff_cov at $.model")
+        _numbers(model["exponents"], "$.model.exponents", (2,), kinds="i")
+        _numbers(model["coeff_cov"], "$.model.coeff_cov", (2,))
         out["exponents"] = model["exponents"]
         out["coeff_cov"] = model["coeff_cov"]
     if "degrees" in model:
-        out["degrees"] = [int(d) for d in model["degrees"]]
+        degrees = model["degrees"]
+        if not isinstance(degrees, list) or len(degrees) != 2:
+            raise ConfigurationError("model.degrees must be two integers at $.model.degrees")
+        out["degrees"] = [_int(d, f"$.model.degrees[{i}]", 1) for i, d in enumerate(degrees)]
     return out
 
 
@@ -158,20 +195,30 @@ def _validate_target(target: dict) -> dict:
     kind = target.get("kind")
     if kind not in TARGET_KINDS:
         raise ConfigurationError(f"unknown target kind {kind!r} at $.target.kind")
-    out = dict(target)
+    _numbers(target.get("y", [0.0]), "$.target.y", (0, 1))
+    _numbers(target.get("radius", 1.0), "$.target.radius", (0,))
+    for key in ("ambient_dim", "subspace_dim"):
+        _int(target.get(key, 1), f"$.target.{key}", 1)
     if kind == "curve_pair":
         for name in ("curve1", "curve2"):
             curve = target.get(name)
             if not isinstance(curve, dict) or curve.get("kind") not in CURVE_KINDS:
                 raise ConfigurationError(
                     f"curve spec must have kind in {CURVE_KINDS} at $.target.{name}")
-    return out
+            _require_keys(curve, f"$.target.{name}", allowed={"kind", "rho", "axis"})
+            _numbers(curve.get("rho", 1.0), f"$.target.{name}.rho", (0,))
+            _numbers(curve.get("axis", [0.0, 0.0, 1.0]), f"$.target.{name}.axis", (1,))
+    return dict(target)
 
 
 def _validate_params(params: dict) -> dict:
     _require_keys(params, "$.params", allowed=set(PARAM_DEFAULTS))
     for key, value in params.items():
         kind = type(PARAM_DEFAULTS[key])  # type(True) is bool, so bools are rejected
-        if kind is not list and not (type(value) in (int, kind) and 0 < value < float("inf")):
+        if kind is list:
+            entries, ok = GRID_ENTRIES[key]
+            if not (isinstance(value, list) and all(map(ok, value))):
+                raise ConfigurationError(f"$.params.{key} must be a list of {entries}")
+        elif not (type(value) in (int, kind) and 0 < value < float("inf")):
             raise ConfigurationError(f"$.params.{key} must be a finite positive {kind.__name__}")
     return dict(params)

@@ -13,6 +13,8 @@ from .errors import DomainError
 def rotation_from_z(axis: np.ndarray) -> np.ndarray:
     """A rotation taking e_z to the given unit axis (Rodrigues, minimal twist)."""
     axis = np.asarray(axis, dtype=float)
+    if axis.shape != (3,) or not np.linalg.norm(axis) > 0.0:
+        raise DomainError("rotation axis must be a nonzero vector in R^3")
     axis = axis / np.linalg.norm(axis)
     z = np.array([0.0, 0.0, 1.0])
     v = np.cross(z, axis)
@@ -30,7 +32,6 @@ class SphericalCurve:
     gamma: Callable[[np.ndarray], np.ndarray]   # (N,) -> (N, 3), unit rows
     dgamma: Callable[[np.ndarray], np.ndarray]  # (N,) -> (N, 3)
     length: float
-    label: str = ""
 
     def points(self, n: int) -> np.ndarray:
         """n polyline vertices (closure implicit: last connects to first)."""
@@ -70,7 +71,7 @@ def great_circle(axis=(0.0, 0.0, 1.0)) -> SphericalCurve:
             [-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t), np.zeros_like(t)], axis=1)
         return raw @ rot.T
 
-    return SphericalCurve(gamma, dgamma, length=2.0 * np.pi, label="great_circle")
+    return SphericalCurve(gamma, dgamma, length=2.0 * np.pi)
 
 
 def latitude_circle(polar_radius: float, axis=(0.0, 0.0, 1.0)) -> SphericalCurve:
@@ -93,5 +94,4 @@ def latitude_circle(polar_radius: float, axis=(0.0, 0.0, 1.0)) -> SphericalCurve
             [-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t), np.zeros_like(t)], axis=1)
         return raw @ rot.T
 
-    return SphericalCurve(gamma, dgamma, length=2.0 * np.pi * s,
-                          label=f"latitude(rho={rho})")
+    return SphericalCurve(gamma, dgamma, length=2.0 * np.pi * s)

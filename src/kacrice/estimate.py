@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -27,18 +26,6 @@ class Estimate:
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("std_error must be >= 0")
-
-    def as_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "n": self.n,
-            "seed": self.seed,
-            "method": self.method,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
     def discrepancy_se(self, other: "Estimate | float") -> float:
         """|difference| in combined standard-error units; inf if both SEs are 0."""

@@ -21,6 +21,7 @@ from scipy.linalg import lapack
 from .errors import DegenerateModelError, DomainError
 
 EIG_FLOOR = 1e-12  # non-degeneracy threshold for covariance blocks
+COV_TOL = 1e-10    # relative symmetry and PSD tolerance of a coefficient covariance
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,13 @@ def sphere_domain() -> Domain:
 
 def cube_domain(m: int) -> Domain:
     return Domain("cube", m, m)
+
+
+def unit_sphere(m: int) -> Domain:
+    """S^1 or S^2 by intrinsic dimension."""
+    if m not in (1, 2):
+        raise DomainError(f"unsupported sphere dimension m={m}")
+    return circle_domain() if m == 1 else sphere_domain()
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +180,16 @@ class FieldModel:
     matrix applied to the b-vector of outputs of ``basis`` (a MonomialBasis
     replicated over b channels with independent coefficients).  The full
     coefficient vector concatenates the channels of every component;
-    ``coeff_cov`` defaults to the identity.
+    ``coeff_cov`` defaults to the identity, and a given one must be finite,
+    symmetric and positive semidefinite up to COV_TOL times its largest entry.
     """
 
     def __init__(self, domain: Domain, components, output_dim: int,
-                 coeff_cov: Optional[np.ndarray] = None, label: str = ""):
+                 coeff_cov: Optional[np.ndarray] = None):
         self.domain = domain
         self.components = [(np.atleast_2d(np.asarray(mix, dtype=float)), basis)
                            for mix, basis in components]
         self.output_dim = output_dim
-        self.label = label
         for mix, _ in self.components:
             if mix.shape[0] != output_dim:
                 raise DomainError("mixing matrix height must equal output_dim")
@@ -192,6 +200,11 @@ class FieldModel:
             self.coeff_cov = np.asarray(coeff_cov, dtype=float)
             if self.coeff_cov.shape != (self.n_coeffs, self.n_coeffs):
                 raise DomainError("coefficient covariance shape mismatch")
+            cov = self.coeff_cov
+            tol = COV_TOL * np.abs(cov).max(initial=0.0)
+            if not (np.isfinite(cov).all() and np.abs(cov - cov.T).max(initial=0.0) <= tol
+                    and (cov.size == 0 or smallest_eigenvalue(cov) >= -tol)):
+                raise DomainError("coefficient covariance must be finite, symmetric and PSD")
         self._factor: Optional[np.ndarray] = None
         self._grid_basis: dict[int, list[np.ndarray]] = {}
 
@@ -314,17 +327,11 @@ class JetCovariance:
     K0: np.ndarray    # (k, k)
     K01: np.ndarray   # (k, m*k)
     K1: np.ndarray    # (m*k, m*k)
-    m: int
-    k: int
 
     def full(self) -> np.ndarray:
         top = np.hstack([self.K0, self.K01])
         bot = np.hstack([self.K01.T, self.K1])
         return np.vstack([top, bot])
-
-    @property
-    def derivative_degenerate(self) -> bool:
-        return smallest_eigenvalue(self.K1) <= EIG_FLOOR
 
     def conditional(self):
         """Law of the derivative jet given X(p) = y: (A or None, C).
@@ -371,7 +378,7 @@ def jet_covariance(model: FieldModel, p: np.ndarray,
     k0 = val @ cov @ val.T
     k01 = val @ cov @ der.T
     k1 = der @ cov @ der.T
-    return JetCovariance(K0=k0, K01=k01, K1=k1, m=model.domain.m, k=model.output_dim)
+    return JetCovariance(K0=k0, K01=k01, K1=k1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +391,11 @@ def kostlan_model(m: int, d: int, k: int = 1) -> FieldModel:
     The covariance kernel is <x, y>^d I_k; the jet has Sigma_0 = I_k,
     Sigma_1 = d I_k in any orthonormal tangent frame.
     """
-    if m == 1:
-        domain = circle_domain()
-    elif m == 2:
-        domain = sphere_domain()
-    else:
-        raise DomainError(f"unsupported sphere dimension m={m}")
+    domain = unit_sphere(m)
     if d < 0:
         raise DomainError("degree must be >= 0")
     basis = kostlan_basis(domain.ambient_dim, d)
-    return FieldModel(domain, [(np.eye(k), basis)], k, label=f"kostlan(m={m},d={d},k={k})")
+    return FieldModel(domain, [(np.eye(k), basis)], k)
 
 
 def isotropic_model(coeff_mats: Sequence[np.ndarray], m: int = 1) -> FieldModel:
@@ -409,15 +411,9 @@ def isotropic_model(coeff_mats: Sequence[np.ndarray], m: int = 1) -> FieldModel:
     for a in mats:
         if a.shape != (k, k):
             raise DomainError("all coefficient matrices must be k x k with equal k")
-    if m == 1:
-        domain = circle_domain()
-    elif m == 2:
-        domain = sphere_domain()
-    else:
-        raise DomainError(f"unsupported sphere dimension m={m}")
+    domain = unit_sphere(m)
     comps = [(a, kostlan_basis(domain.ambient_dim, ell)) for ell, a in enumerate(mats)]
-    return FieldModel(domain, comps, k,
-                      label=f"mixed_kostlan(m={m},d={len(mats) - 1},k={k})")
+    return FieldModel(domain, comps, k)
 
 
 def custom_monomial_model(domain: Domain, exponents, coeff_cov) -> FieldModel:
@@ -427,11 +423,10 @@ def custom_monomial_model(domain: Domain, exponents, coeff_cov) -> FieldModel:
     non-isotropic models with nonzero value/derivative cross-covariance.
     """
     exps = np.atleast_2d(np.asarray(exponents, dtype=int))
-    if exps.shape[1] != domain.ambient_dim:
-        raise DomainError("exponent arity does not match the domain")
+    if exps.shape[1] != domain.ambient_dim or exps.min() < 0:
+        raise DomainError("exponents must be nonnegative with one entry per ambient coordinate")
     basis = MonomialBasis(exps, np.ones(exps.shape[0]))
-    return FieldModel(domain, [(np.eye(1), basis)], 1,
-                      coeff_cov=np.asarray(coeff_cov, float), label="custom_monomials")
+    return FieldModel(domain, [(np.eye(1), basis)], 1, coeff_cov=np.asarray(coeff_cov, float))
 
 
 def isotropic_sigmas(coeff_mats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -558,26 +553,3 @@ class ConditionedRealization:
 def condition(model: FieldModel, p: np.ndarray, q) -> ConditionedField:
     """Condition the field on X(p) = q (exact interpolation, no rejection)."""
     return ConditionedField(model, p, np.atleast_1d(np.asarray(q, dtype=float)))
-
-
-def nabla_derivative_law(model: FieldModel, p: np.ndarray,
-                         tangent_frame: Optional[np.ndarray] = None) -> np.ndarray:
-    """Covariance of the derivative made independent of the value at p.
-
-    Returns the (m*k, m*k) covariance of d_p X - K01^T K0^{-1} X(p); for
-    isotropic models (K01 = 0) this is K1 unchanged.
-    """
-    return jet_covariance(model, p, tangent_frame).conditional()[1]
-
-
-def conditional_jet_law(model: FieldModel, p: np.ndarray, y: np.ndarray,
-                        tangent_frame: Optional[np.ndarray] = None):
-    """Gaussian law of the derivative jet given X(p) = y: (mean, covariance).
-
-    mean = K01^T K0^{-1} y, covariance = K1 - K01^T K0^{-1} K01, both in the
-    direction-major layout of JetCovariance.
-    """
-    jc = jet_covariance(model, p, tangent_frame)
-    a, cov = jc.conditional()
-    mean = np.zeros(jc.m * jc.k) if a is None else a @ np.asarray(y, dtype=float)
-    return mean, cov

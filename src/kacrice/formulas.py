@@ -32,36 +32,31 @@ from .fields import (
     pivoted_cholesky,
     smallest_eigenvalue,
 )
-from .level_sets import GaussianRegion, LevelSetW, unit_ball_volume
+from .level_sets import LevelSetW, unit_ball_volume
 from .linalg import sine_angle_lines
 from .quadrature import Region
 
 # Volume of SO(3) under the bi-invariant metric scaled so that the orbit map
 # onto the unit sphere is a Riemannian submersion (fibers have length 2*pi).
 VOL_SO3 = 8.0 * math.pi**2
+# Midpoint nodes of the rotation angle in the kinematic fiber average.
+KINEMATIC_FRAME_NODES = 256
 
 
 # ---------------------------------------------------------------------------
 # Weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightFn:
-    """A per-solution weight alpha evaluated on the jet at the base point.
-
-    ``evaluate(dx, projected, y, p)`` receives the sampled derivative
-    matrices dx (n, k, m), their normal projections nu(y)^T dx (n, m, m),
-    the fiber node y and the base point p, and returns (n,) weights.
-    The unit weight reproduces the plain count bit-for-bit.
-    """
-
-    evaluate: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    bounded: bool = True
-    label: str = "custom"
+# A per-solution weight alpha evaluated on the jet at the base point:
+# weight(dx, projected, y, p) receives the sampled derivative matrices dx
+# (n, k, m), their normal projections nu(y)^T dx (n, m, m), the fiber node y
+# and the base point p, and returns (n,) weights.  The unit weight
+# reproduces the plain count bit-for-bit.
+WeightFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def unit_weight() -> WeightFn:
-    return WeightFn(lambda dx, proj, y, p: np.ones(dx.shape[0]), bounded=True, label="unit")
+    return lambda dx, proj, y, p: np.ones(dx.shape[0])
 
 
 def sign_weight() -> WeightFn:
@@ -70,8 +65,7 @@ def sign_weight() -> WeightFn:
     Ties (vanishing determinant) get weight 0, so transversality failures
     contribute nothing instead of crashing the estimator.
     """
-    return WeightFn(lambda dx, proj, y, p: np.sign(np.linalg.det(proj)),
-                    bounded=True, label="sign")
+    return lambda dx, proj, y, p: np.sign(np.linalg.det(proj))
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +181,6 @@ def isotropic_sphere_count(sigma0, sigma1, W: LevelSetW, m: int,
 # General density evaluator
 # ---------------------------------------------------------------------------
 
-def _conditional_jet_sampler(model: FieldModel, p: np.ndarray,
-                             tangent_frame: Optional[np.ndarray]):
-    """Common machinery: returns (gauss cov K0, mean_fn(y) -> (mk,), factor L).
-
-    The conditional covariance of the jet given X(p) = y does not depend on
-    y, so one factor serves every fiber node; only the mean shifts.  For
-    isotropic models (zero cross block) the mean is identically zero and the
-    conditioning drops entirely.
-    """
-    jc = jet_covariance(model, p, tangent_frame)
-    a, cov = jc.conditional()
-    mean_fn = None if a is None else (lambda y: a @ y)
-    return jc.K0, mean_fn, pivoted_cholesky(cov)
-
-
 def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
                   n_samples: int = 20_000, fiber_nodes: int = 256,
                   weight: Optional[WeightFn] = None, seed: int = 0,
@@ -216,7 +195,12 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
     p = np.asarray(p, dtype=float)
     k = model.output_dim
 
-    k0, mean_fn, factor = _conditional_jet_sampler(model, p, tangent_frame)
+    # The conditional covariance of the jet given X(p) = y does not depend on
+    # y, so one factor serves every fiber node; only the mean a @ y shifts.
+    # For isotropic models (zero cross block) a is None and the conditioning drops.
+    jc = jet_covariance(model, p, tangent_frame)
+    a, cov = jc.conditional()
+    factor = pivoted_cholesky(cov)
 
     nodes, wts = W.nodes(fiber_nodes)
     nus = W.framing(nodes)
@@ -232,12 +216,12 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
     per_sample = np.zeros(n_samples)
     node_means = np.zeros(nodes.shape[0])
     for j in range(nodes.shape[0]):
-        jets = base if mean_fn is None else base + mean_fn(nodes[j])
+        jets = base if a is None else base + a @ nodes[j]
         dx = jets.reshape(n_samples, m, k).transpose(0, 2, 1)  # (n, k, m)
         proj = np.einsum("km,nkl->nml", nus[j], dx)
         dets = np.linalg.det(proj) if m > 1 else proj[:, 0, 0]
-        alpha = wfn.evaluate(dx, proj, nodes[j], p)
-        dens = gaussian_density(nodes[j], k0)
+        alpha = wfn(dx, proj, nodes[j], p)
+        dens = gaussian_density(nodes[j], jc.K0)
         contrib = wts[j] * dens * alpha * np.abs(dets)
         per_sample += contrib
         node_means[j] = float(np.mean(np.abs(contrib)))
@@ -264,29 +248,10 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
                     method="density_point", flagged=flagged, flag_reason=reason)
 
 
-def expected_count(model: FieldModel, W, region: Region,
+def expected_count(model: FieldModel, W: LevelSetW, region: Region,
                    n_samples: int = 20_000, fiber_nodes: int = 256,
                    weight: Optional[WeightFn] = None, seed: int = 0) -> Estimate:
-    """Integral of the Kac-Rice density over a region of the base manifold.
-
-    For dimension-0 regions the count is the sum of the marginal
-    probabilities P{X(p) in W} over the region's points, and W must be a
-    GaussianRegion (an open subset of the value space).
-    """
-    if region.dim == 0:
-        if not isinstance(W, GaussianRegion):
-            raise ConfigurationError("dimension-0 regions need an open-region target")
-        total, var = 0.0, 0.0
-        for idx, p in enumerate(region.nodes):
-            cov = model.kernel(p, p)
-            prob, se = W.probability(cov, seed=seed + idx)
-            total += prob
-            var += se * se
-        return Estimate(value=total, std_error=math.sqrt(var), n=region.nodes.shape[0],
-                        seed=seed, method="expected_count_dim0")
-
-    if not isinstance(W, LevelSetW):
-        raise ConfigurationError("positive-dimension regions need a level-set target")
+    """Integral of the Kac-Rice density over a region of the base manifold."""
     children = np.random.SeedSequence(seed).generate_state(region.nodes.shape[0])
     total = 0.0
     var = 0.0
@@ -327,8 +292,7 @@ def _pulled_back_normals(curve, n: int):
     return planar, weights
 
 
-def kinematic_rhs_sphere(curve1, curve2, n_curve_nodes: int = 96,
-                         n_frame_nodes: int = 256) -> Estimate:
+def kinematic_rhs_sphere(curve1, curve2, n_curve_nodes: int = 96) -> Estimate:
     """Kinematic average of #(g . curve1 ∩ curve2) over probability-Haar g.
 
     Numerically evaluates the double line integral of the fiber-averaged
@@ -340,7 +304,7 @@ def kinematic_rhs_sphere(curve1, curve2, n_curve_nodes: int = 96,
     def evaluate(n: int) -> float:
         a, wa = _pulled_back_normals(curve1, n)
         b, wb = _pulled_back_normals(curve2, n)
-        t = 2.0 * math.pi * (np.arange(n_frame_nodes) + 0.5) / n_frame_nodes
+        t = 2.0 * math.pi * (np.arange(KINEMATIC_FRAME_NODES) + 0.5) / KINEMATIC_FRAME_NODES
         ct, st = np.cos(t), np.sin(t)
         # b rotated by every frame angle: (ny, nt, 2)
         brot = np.stack([b[:, 0, None] * ct - b[:, 1, None] * st,
@@ -352,7 +316,7 @@ def kinematic_rhs_sphere(curve1, curve2, n_curve_nodes: int = 96,
     full = evaluate(n_curve_nodes)
     half = evaluate(max(n_curve_nodes // 2, 8))
     return Estimate(value=full, std_error=abs(full - half),
-                    n=n_curve_nodes * n_curve_nodes * n_frame_nodes, seed=0,
+                    n=n_curve_nodes * n_curve_nodes * KINEMATIC_FRAME_NODES, seed=0,
                     method="kinematic_rhs_sphere")
 
 
@@ -365,8 +329,6 @@ class SubgaussianFit:
     """Fitted growth exponent of log Vol(W ∩ B_R) against R^2."""
 
     eps_hat: float
-    radii: np.ndarray
-    volumes: np.ndarray
 
 
 def subgaussian_diagnostic(W: LevelSetW, R_grid: Sequence[float]) -> SubgaussianFit:
@@ -391,4 +353,4 @@ def subgaussian_diagnostic(W: LevelSetW, R_grid: Sequence[float]) -> Subgaussian
         slope = 0.0
     else:
         slope = float(np.polyfit(x, y, 1)[0])
-    return SubgaussianFit(eps_hat=slope, radii=radii, volumes=vols)
+    return SubgaussianFit(eps_hat=slope)

@@ -3,8 +3,9 @@
 A LevelSetW is a codimension-m submanifold of R^k given as a level set
 phi^{-1}(0), carrying a normal framing nu (orthonormal columns spanning the
 normal space) and a fiber cubature rule for integrating over W (or over
-W truncated to a ball).  Dimension-0 targets (open regions, used when the
-base manifold is a finite point set) are GaussianRegion objects instead.
+W truncated to a ball).  Targets without a fiber cubature (subspaces,
+synthetic growth profiles) carry only their ball-volume profile, which the
+sub-Gaussian growth diagnostic reads.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class LevelSetW:
     framing: Callable[[np.ndarray], np.ndarray]      # (N, k) -> (N, k, m), orthonormal cols
     fiber_nodes: Optional[Callable[[int], tuple]] = None  # n -> (nodes (N,k), weights (N,))
     volume_in_ball: Optional[Callable[[float], float]] = None
-    label: str = ""
 
     def nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self.fiber_nodes is None:
@@ -68,8 +68,7 @@ def point_target(y0) -> LevelSetW:
 
     return LevelSetW(ambient_dim=k, codim=k, phi=phi, framing=framing,
                      fiber_nodes=fiber_nodes,
-                     volume_in_ball=lambda R: 1.0 if R >= np.linalg.norm(y0) else 0.0,
-                     label=f"point{tuple(np.round(y0, 12))}")
+                     volume_in_ball=lambda R: 1.0 if R >= np.linalg.norm(y0) else 0.0)
 
 
 def circle_target(radius: float) -> LevelSetW:
@@ -96,8 +95,7 @@ def circle_target(radius: float) -> LevelSetW:
         return 2.0 * np.pi * r if R >= r else 0.0
 
     return LevelSetW(ambient_dim=2, codim=1, phi=phi, framing=framing,
-                     fiber_nodes=fiber_nodes, volume_in_ball=volume_in_ball,
-                     label=f"circle(r={r})")
+                     fiber_nodes=fiber_nodes, volume_in_ball=volume_in_ball)
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -125,8 +123,7 @@ def linear_subspace_target(ambient_dim: int, subspace_dim: int) -> LevelSetW:
         return unit_ball_volume(j) * R**j
 
     return LevelSetW(ambient_dim=k, codim=m, phi=phi, framing=framing,
-                     fiber_nodes=None, volume_in_ball=volume_in_ball,
-                     label=f"subspace({j} in {k})")
+                     fiber_nodes=None, volume_in_ball=volume_in_ball)
 
 
 def line_segment_target(half_length: float, angle: float = 0.0) -> LevelSetW:
@@ -151,56 +148,12 @@ def line_segment_target(half_length: float, angle: float = 0.0) -> LevelSetW:
 
     return LevelSetW(ambient_dim=2, codim=1, phi=phi, framing=framing,
                      fiber_nodes=fiber_nodes,
-                     volume_in_ball=lambda R: 2.0 * min(R, half_length),
-                     label=f"segment(L={half_length})")
+                     volume_in_ball=lambda R: 2.0 * min(R, half_length))
 
 
-def synthetic_growth_target(volume_fn: Callable[[float], float], label: str = "synthetic") -> LevelSetW:
+def synthetic_growth_target(volume_fn: Callable[[float], float]) -> LevelSetW:
     """A target carrying only a ball-volume profile, for growth diagnostics."""
     return LevelSetW(ambient_dim=1, codim=1,
                      phi=lambda pts: np.atleast_2d(pts),
                      framing=lambda pts: np.ones((np.atleast_2d(pts).shape[0], 1, 1)),
-                     fiber_nodes=None, volume_in_ball=volume_fn, label=label)
-
-
-# ---------------------------------------------------------------------------
-# Dimension-0 targets: open regions with computable Gaussian mass
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussianRegion:
-    """An open subset of R^k queried only through P{N(0, K) in region}."""
-
-    ambient_dim: int
-    contains: Callable[[np.ndarray], np.ndarray]  # (N, k) -> bool (N,)
-    exact_probability: Optional[Callable[[np.ndarray], float]] = None
-    label: str = ""
-
-    def probability(self, cov: np.ndarray, n_mc: int = 200_000, seed: int = 0):
-        """(probability, std_error) under N(0, cov); exact when available."""
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        if self.exact_probability is not None:
-            return float(self.exact_probability(cov)), 0.0
-        rng = np.random.default_rng(seed)
-        chol = np.linalg.cholesky(cov + 1e-15 * np.eye(cov.shape[0]))
-        draws = rng.standard_normal((n_mc, cov.shape[0])) @ chol.T
-        hits = np.asarray(self.contains(draws), dtype=float)
-        p = float(hits.mean())
-        return p, float(np.sqrt(max(p * (1 - p), 0.0) / n_mc))
-
-
-def half_line_region(threshold: float = 0.0, above: bool = True) -> GaussianRegion:
-    """{x > threshold} (or <) in R^1, with the exact Gaussian tail mass."""
-    t = float(threshold)
-
-    def contains(pts):
-        x = np.atleast_2d(pts)[:, 0]
-        return x > t if above else x < t
-
-    def exact(cov):
-        sd = math.sqrt(float(np.atleast_2d(cov)[0, 0]))
-        tail = 0.5 * math.erfc(t / (sd * math.sqrt(2.0))) if sd > 0 else float(t < 0)
-        return tail if above else 1.0 - tail
-
-    return GaussianRegion(ambient_dim=1, contains=contains, exact_probability=exact,
-                          label=f"half_line({'>' if above else '<'}{t})")
+                     fiber_nodes=None, volume_in_ball=volume_fn)

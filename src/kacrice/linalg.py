@@ -1,4 +1,4 @@
-"""Euclidean linear geometry: frame volumes, subspace angles, normal Jacobians.
+"""Euclidean linear geometry: frame volumes and subspace angles.
 
 The central object is the angle sigma(V, W) between two subspaces: the
 product of the sines of their nontrivial principal angles.  It is computed
@@ -18,51 +18,15 @@ from .errors import DomainError
 
 # Rank / intersection threshold, relative to the largest vector norm in play.
 TAU_RANK = 1e-10
-# Orthonormality certification threshold for stored subspace bases.
-TAU_ORTH = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Frames
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Frame:
-    """An ordered tuple of vectors in Euclidean space, stored as rows."""
-
-    vectors: np.ndarray  # shape (k, n)
-
-    def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
-        if v.ndim != 2:
-            raise DomainError("frame vectors must form a 2-d array")
-        if v.shape[0] == 0:
-            raise DomainError("empty frame")
-        if v.shape[0] > v.shape[1]:
-            raise DomainError(
-                f"frame has {v.shape[0]} vectors in dimension {v.shape[1]}"
-            )
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def size(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def gram(self) -> np.ndarray:
-        return self.vectors @ self.vectors.T
 
 
 def frame_volume(frame) -> float:
-    """sqrt(det <f^T, f>): the k-volume of the parallelotope spanned by the frame.
+    """sqrt(det <f^T, f>): the k-volume of the parallelotope spanned by the rows.
 
-    Returns 0 when the vectors are dependent below the rank threshold.
-    Accepts a Frame or a (k, n) array of row vectors.
+    ``frame`` is a (k, n) array of row vectors.  Returns 0 when the vectors
+    are dependent below the rank threshold.
     """
-    v = frame.vectors if isinstance(frame, Frame) else np.atleast_2d(np.asarray(frame, float))
+    v = np.atleast_2d(np.asarray(frame, float))
     if v.shape[0] == 0:
         raise DomainError("empty frame")
     if v.shape[0] > v.shape[1]:
@@ -148,11 +112,6 @@ class Subspace:
         return comp
 
 
-def orthogonal_projection(V: Subspace, x: np.ndarray) -> np.ndarray:
-    """Pi_V x.  Idempotent; the residual x - Pi_V x is orthogonal to V."""
-    return V.project(x)
-
-
 def _split(V: Subspace, W: Subspace):
     """(V ∩ W, V ∩ (V∩W)_perp) as orthonormal rows, from one SVD.
 
@@ -216,53 +175,3 @@ def sine_angle_lines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     uv = np.sum(u * v, axis=-1)
     cross_sq = np.clip(uu * vv - uv * uv, 0.0, None)
     return np.sqrt(cross_sq / (uu * vv))
-
-
-# ---------------------------------------------------------------------------
-# Normal Jacobians
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearMapMetric:
-    """A linear map R^m -> R^n together with SPD metrics on both spaces."""
-
-    matrix: np.ndarray          # (n, m)
-    domain_metric: np.ndarray   # (m, m) SPD
-    codomain_metric: np.ndarray  # (n, n) SPD
-
-    def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.matrix, float))
-        g1 = np.atleast_2d(np.asarray(self.domain_metric, float))
-        g2 = np.atleast_2d(np.asarray(self.codomain_metric, float))
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "domain_metric", g1)
-        object.__setattr__(self, "codomain_metric", g2)
-        n, m = a.shape
-        if g1.shape != (m, m) or g2.shape != (n, n):
-            raise DomainError("metric shapes do not match the map")
-        for g, name in ((g1, "domain"), (g2, "codomain")):
-            try:
-                np.linalg.cholesky(0.5 * (g + g.T))
-            except np.linalg.LinAlgError:
-                raise DomainError(f"{name} metric is not symmetric positive definite")
-
-
-def jacobian(L: LinearMapMetric) -> float:
-    """Volume distortion of L on the orthogonal complement of its kernel.
-
-    sqrt(det(A^T g2 A) / det g1) when m <= n, sqrt(det(A g1^{-1} A^T) det g2)
-    when m >= n; exactly 0 for maps of non-maximal rank.
-    """
-    a = L.matrix
-    n, m = a.shape
-    s = np.linalg.svd(a, compute_uv=False) if min(n, m) > 0 else np.zeros(0)
-    if s.size == 0 or s[-1] <= TAU_RANK * max(s[0], 1.0):
-        return 0.0
-    if m <= n:
-        num = np.linalg.det(a.T @ L.codomain_metric @ a)
-        den = np.linalg.det(L.domain_metric)
-        val = num / den
-    else:
-        num = np.linalg.det(a @ np.linalg.solve(L.domain_metric, a.T))
-        val = num * np.linalg.det(L.codomain_metric)
-    return float(np.sqrt(max(val, 0.0)))

@@ -20,6 +20,11 @@ from .estimate import Estimate
 from .fields import FieldModel, Realization, sample
 from .fields import sphere_tangent_frames as _sphere_tangent_frames
 
+BISECT_TOL = 1e-12         # bracket width at which circle-root bisection stops
+TRANSVERSALITY_TOL = 1e-8  # |derivative| below which a circle zero is non-transverse
+MAX_EXCLUDED_FRACTION = 0.05  # flagged-sample share above which an MC estimate is flagged
+CROSSING_MARGIN_TOL = 1e-10   # distance to tangency below which a rotation is resampled
+
 
 @dataclass(frozen=True)
 class CountSample:
@@ -61,8 +66,8 @@ def _bisect_circle(func, groups, tol):
     return [0.5 * (lo + hi) for lo, hi in zip(los, his)], steps
 
 
-def _audited_circle_roots(realization: Realization, grid_n: int, tol: float,
-                          level: float, closed: bool):
+def _audited_circle_roots(realization: Realization, grid_n: int, level: float,
+                          closed: bool):
     """Sorted roots at grid_n, with diagnostics and the reason the grid-doubling
     audit flags them ("" when it does not)."""
     if realization.model.output_dim != 1:
@@ -75,13 +80,13 @@ def _audited_circle_roots(realization: Realization, grid_n: int, tol: float,
         lo = thetas[vals * np.roll(vals, -1) < 0.0]
         brackets.append((lo, lo + 2.0 * np.pi / n))
     mids, steps = _bisect_circle(lambda t: realization.circle_values(t) - level,
-                                 brackets, tol)
+                                 brackets, BISECT_TOL)
     found = []
     for zeros, mid in zip(node_zeros, mids):
         out = np.sort(np.concatenate([zeros, np.mod(mid, 2.0 * np.pi)]))
         # Merge duplicates created by node-zeros adjacent to a sign change.
         if out.size > 1:
-            out = out[np.diff(out, append=out[0] + 2.0 * np.pi) > tol * 10]
+            out = out[np.diff(out, append=out[0] + 2.0 * np.pi) > BISECT_TOL * 10]
         found.append(out)
     roots, roots2 = found
     min_sep = float("inf")
@@ -97,8 +102,7 @@ def _audited_circle_roots(realization: Realization, grid_n: int, tol: float,
     return roots, {"n_bisection_steps": steps, "min_separation": min_sep}, reason
 
 
-def count_zeros_circle(realization: Realization, grid_n: int = 1024,
-                       tol: float = 1e-12, level: float = 0.0,
+def count_zeros_circle(realization: Realization, grid_n: int = 1024, level: float = 0.0,
                        arc: tuple[float, float] | None = None) -> CountSample:
     """Exact count of solutions of X = level for a scalar realization on S^1.
 
@@ -109,8 +113,7 @@ def count_zeros_circle(realization: Realization, grid_n: int = 1024,
     counts are additionally audited for evenness (transverse level sets of
     a closed loop have even cardinality).
     """
-    roots, diag, reason = _audited_circle_roots(realization, grid_n, tol, level,
-                                                closed=arc is None)
+    roots, diag, reason = _audited_circle_roots(realization, grid_n, level, closed=arc is None)
     if arc is not None:
         lo, hi = arc
         inside = (np.mod(roots - lo, 2.0 * np.pi)) < (hi - lo)
@@ -119,18 +122,16 @@ def count_zeros_circle(realization: Realization, grid_n: int = 1024,
                        flagged=bool(reason), flag_reason=reason)
 
 
-def count_signed_zeros_circle(realization: Realization, grid_n: int = 1024,
-                              tol: float = 1e-12,
-                              transversality_tol: float = 1e-8) -> CountSample:
+def count_signed_zeros_circle(realization: Realization, grid_n: int = 1024) -> CountSample:
     """Sum of derivative signs over the zeros of a scalar realization on S^1.
 
     Transverse zeros on a closed loop alternate in sign, so the result is 0
     for every transverse realization; zeros with |derivative| below the
     transversality tolerance flag the sample instead of contributing.
     """
-    roots, diag, reason = _audited_circle_roots(realization, grid_n, tol, 0.0, closed=True)
+    roots, diag, reason = _audited_circle_roots(realization, grid_n, 0.0, closed=True)
     derivs = realization.circle_derivative(roots) if roots.size else np.zeros(0)
-    if roots.size and np.abs(derivs).min() < transversality_tol:
+    if roots.size and np.abs(derivs).min() < TRANSVERSALITY_TOL:
         reason = "non-transverse zero (derivative below tolerance)"
     signed = int(np.sign(derivs).sum()) if roots.size else 0
     diag["n_roots"] = int(roots.size)
@@ -310,12 +311,11 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization,
 # ---------------------------------------------------------------------------
 
 def mc_expected_count_seeded(counter_by_seed: Callable[[int], CountSample],
-                             n_samples: int, seed: int,
-                             max_excluded_fraction: float = 0.05) -> Estimate:
+                             n_samples: int, seed: int) -> Estimate:
     """Mean and standard error of exact counts indexed by derived seeds.
 
     Flagged (unresolved) samples are excluded and reported; the estimate is
-    itself flagged when the exclusions exceed ``max_excluded_fraction``.
+    itself flagged when the exclusions exceed MAX_EXCLUDED_FRACTION.
     Deterministic for a fixed (counter, n_samples, seed): per-sample seeds
     are derived from ``seed`` up front.
     """
@@ -334,19 +334,16 @@ def mc_expected_count_seeded(counter_by_seed: Callable[[int], CountSample],
                         method="mc_expected_count", flagged=True,
                         flag_reason="all samples unresolved")
     se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
-    flagged = excluded > max_excluded_fraction * n_samples
+    flagged = excluded > MAX_EXCLUDED_FRACTION * n_samples
     reason = f"{excluded}/{n_samples} samples unresolved" if excluded else ""
     return Estimate(value=float(kept.mean()), std_error=se, n=int(kept.size), seed=seed,
                     method="mc_expected_count", flagged=flagged, flag_reason=reason)
 
 
 def mc_expected_count(model: FieldModel, counter: Callable[[Realization], CountSample],
-                      n_samples: int, seed: int,
-                      max_excluded_fraction: float = 0.05) -> Estimate:
+                      n_samples: int, seed: int) -> Estimate:
     """mc_expected_count_seeded specialized to realizations of one model."""
-    return mc_expected_count_seeded(
-        lambda s: counter(sample(model, s)), n_samples, seed,
-        max_excluded_fraction=max_excluded_fraction)
+    return mc_expected_count_seeded(lambda s: counter(sample(model, s)), n_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +370,13 @@ class _SegmentGrid:
         self.cell = cell
         self.side = int(math.ceil(3.0 / cell)) + 2
         mids = 0.5 * (points + np.roll(points, -1, axis=0))
-        self.keys_sorted, self.order = self._sorted_keys(mids)
+        keys = self._key(mids)
+        self.order = np.argsort(keys, kind="stable")
+        self.keys_sorted = keys[self.order]
 
     def _key(self, mids: np.ndarray) -> np.ndarray:
         idx = np.floor((mids + 1.5) / self.cell).astype(np.int64)
         return (idx[:, 0] * self.side + idx[:, 1]) * self.side + idx[:, 2]
-
-    def _sorted_keys(self, mids: np.ndarray):
-        keys = self._key(mids)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], order
 
     def candidates(self, mids: np.ndarray):
         """Pairs (i, j): query segment i near stored segment j."""
@@ -411,11 +405,11 @@ class _SegmentGrid:
         return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def _count_crossings(p1: np.ndarray, grid: _SegmentGrid, margin_tol: float = 1e-10):
+def _count_crossings(p1: np.ndarray, grid: _SegmentGrid):
     """Transverse intersections of polyline p1 with the gridded polyline.
 
     Returns (count, clean): clean is False when a candidate pair sits within
-    margin_tol of tangency, in which case the rotation should be resampled.
+    CROSSING_MARGIN_TOL of tangency, in which case the rotation should be resampled.
     """
     mids = 0.5 * (p1 + np.roll(p1, -1, axis=0))
     ii, jj = grid.candidates(mids)
@@ -436,7 +430,7 @@ def _count_crossings(p1: np.ndarray, grid: _SegmentGrid, margin_tol: float = 1e-
     straddle = (s1a * s1b < 0.0) & (s2a * s2b < 0.0)
     # Ambiguous geometry (vertex hits, tangencies) anywhere among the
     # candidates: ask for a fresh rotation rather than guessing.
-    if np.any(margin < margin_tol):
+    if np.any(margin < CROSSING_MARGIN_TOL):
         return 0, False
     if not straddle.any():
         return 0, True

@@ -1,8 +1,9 @@
 """Cubature rules over the supported base domains.
 
 A Region couples quadrature nodes (points of the domain, in ambient
-coordinates) with weights that sum to the region's volume.  Dimension-0
-regions are finite point sets with unit weights.
+coordinates) with weights that sum to the region's volume: midpoint arcs
+of the circle, Gauss-Legendre times trapezoid on the sphere, and tensor
+Gauss-Legendre on the cube.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ class Region:
 
     nodes: np.ndarray    # (N, ambient_dim)
     weights: np.ndarray  # (N,)
-    dim: int
-    label: str = ""
 
     def __post_init__(self):
         if self.nodes.shape[0] != self.weights.shape[0]:
@@ -40,7 +39,7 @@ def circle_region(n_nodes: int = 64, arc: tuple[float, float] = (0.0, 2.0 * np.p
     theta = lo + (np.arange(n_nodes) + 0.5) * (hi - lo) / n_nodes
     nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     weights = np.full(n_nodes, (hi - lo) / n_nodes)
-    return Region(nodes, weights, dim=1, label="circle")
+    return Region(nodes, weights)
 
 
 def sphere_region(n_polar: int = 24, n_azimuth: int = 48) -> Region:
@@ -59,7 +58,7 @@ def sphere_region(n_polar: int = 24, n_azimuth: int = 48) -> Region:
         np.outer(z, np.ones_like(phi)).ravel(),
     ], axis=1)
     weights = np.outer(wz, np.full(n_azimuth, wphi)).ravel()
-    return Region(nodes, weights, dim=2, label="sphere")
+    return Region(nodes, weights)
 
 
 def cube_region(m: int, order: int = 16) -> Region:
@@ -75,10 +74,4 @@ def cube_region(m: int, order: int = 16) -> Region:
     idx = np.meshgrid(*([np.arange(order)] * m), indexing="ij")
     for axis in range(m):
         weights *= w[idx[axis].ravel()]
-    return Region(nodes, weights, dim=m, label="cube")
-
-
-def point_region(points) -> Region:
-    """A dimension-0 region: a finite set of evaluation points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return Region(pts, np.ones(pts.shape[0]), dim=0, label="points")
+    return Region(nodes, weights)

@@ -158,6 +158,56 @@ def test_unread_config_values_exit_2(tmp_path, capsys, section, value, path):
     assert "Traceback" not in err
 
 
+KOSTLAN = {"kind": "kostlan", "m": 1, "k": 1}
+CUSTOM = {"kind": "custom_basis", "m": 1, "exponents": [[1, 0], [0, 1]]}
+CURVES = {"kind": "curve_pair", "curve2": {"kind": "great_circle"}}
+
+
+@pytest.mark.parametrize("experiment, section, value, path", [
+    ("point_count", "model", dict(KOSTLAN, degree="x"), "$.model.degree"),
+    ("point_count", "model", dict(KOSTLAN, degree=2.7), "$.model.degree"),
+    ("point_count", "model", dict(KOSTLAN, degree=True), "$.model.degree"),
+    ("point_count", "model", dict(KOSTLAN, degree=-3), "$.model.degree"),
+    ("sphere_count", "model", {"kind": "kostlan", "m": 2, "degrees": [0, 3]},
+     "$.model.degrees"),
+    ("degree_sweep", "params", {"degree_grid": [0, -2]}, "$.params.degree_grid"),
+    ("continuity_sweep", "params", {"epsilon_grid": [2.0]}, "$.params.epsilon_grid"),
+    ("continuity_sweep", "params", {"epsilon_grid": ["a"]}, "$.params.epsilon_grid"),
+    ("point_count", "target", {"kind": "point", "y": ["a"]}, "$.target.y"),
+    ("signed_count", "model", dict(CUSTOM, coeff_cov=[[1.0, 0.0], [0.0, -1.0]]), "$.model"),
+    ("signed_count", "model", dict(CUSTOM, coeff_cov=[[1.0, float("nan")], [float("nan"), 1.0]]),
+     "$.model"),
+    ("signed_count", "model", dict(CUSTOM, coeff_cov=[[1.0, 5.0], [0.0, 1.0]]), "$.model"),
+    ("kinematic", "target", dict(CURVES, curve1={"kind": "latitude", "rho": 5.0}), "$.target"),
+    ("point_count", "model", {"kind": "mixed_kostlan", "coeff_mats": [[[1.0]], [[1.0, 0.0]]]},
+     "$.model"),
+    ("point_count", "model", {"kind": "mixed_kostlan", "coeff_mats": [[[1.0, 0.0], [0.0]]]},
+     "$.model.coeff_mats[0]"),
+    ("subgaussian", "target", {"kind": "subspace", "ambient_dim": 3, "subspace_dim": 5},
+     "$.target"),
+    ("point_count", "model", 5, "$.model"),
+    ("point_count", "model", {"kind": "mixed_kostlan", "coeff_mats": [[[1, 0], [0, 1]]] * 2},
+     "$.model"),
+    ("continuity_sweep", "model", {"kind": "mixed_kostlan", "coeff_mats": [[[1.0]]],
+                                   "degrees": [9, 4]}, "$.model.degrees"),
+    ("kinematic", "target", dict(CURVES, curve1={"kind": "latitude", "axis": [0, 0, 0]}),
+     "$.target"),
+])
+def test_bad_model_target_and_grid_values_exit_2(tmp_path, capsys, experiment, section,
+                                                 value, path):
+    cfg = {"experiment": experiment, section: value,
+           "params": {"n_realizations": 10, "n_rotations": 10, "R_grid": [1, 2, 3],
+                      "degree_grid": [1], "epsilon_grid": [0.5]},
+           "output": {"path": str(tmp_path / "out.csv"), "format": "csv"}}
+    if section == "params":
+        cfg["params"] = dict(cfg["params"], **value)
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert path in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 

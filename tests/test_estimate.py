@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -8,13 +7,6 @@ from kacrice.estimate import Estimate
 
 def make(value=1.0, se=0.1, n=100, seed=7, method="mc"):
     return Estimate(value=value, std_error=se, n=n, seed=seed, method=method)
-
-
-def test_serialized_record_fields():
-    est = make()
-    record = est.as_dict()
-    assert set(record) == {"value", "std_error", "n", "seed", "method"}
-    assert json.loads(est.to_json()) == record
 
 
 def test_negative_std_error_rejected():

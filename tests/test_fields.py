@@ -5,20 +5,20 @@ from hypothesis import strategies as st
 
 from kacrice.errors import DegenerateModelError, DomainError
 from kacrice.fields import (
+    EIG_FLOOR,
     MonomialBasis,
     circle_domain,
     condition,
-    conditional_jet_law,
     cube_domain,
     custom_monomial_model,
     isotropic_model,
     isotropic_sigmas,
     jet_covariance,
     kostlan_model,
-    nabla_derivative_law,
     pivoted_cholesky,
     regression_matrix,
     sample,
+    smallest_eigenvalue,
     sphere_domain,
     sphere_tangent_frames,
 )
@@ -203,7 +203,7 @@ def test_constant_field_jet_degenerate():
     model = kostlan_model(1, 0)
     jc = jet_covariance(model, np.array([1.0, 0.0]))
     assert np.abs(jc.K1).max() == 0.0
-    assert jc.derivative_degenerate
+    assert smallest_eigenvalue(jc.K1) <= EIG_FLOOR
 
 
 def test_mixed_sigmas_by_hand():
@@ -380,6 +380,24 @@ def test_conditioned_mean_bitwise_equals_direct_formula(rng):
     assert np.abs(cf.mean(pts) - kup @ kpp_inv_q).max() <= 1e-14 * np.abs(direct).max()
 
 
+@pytest.mark.parametrize("cov", [
+    [[1.0, 0.0], [0.0, -1.0]],               # indefinite
+    [[1.0, np.nan], [np.nan, 1.0]],          # non-finite
+    [[1.0, 5.0], [0.0, 1.0]],                # asymmetric
+])
+def test_model_rejects_invalid_coefficient_covariance(cov):
+    with pytest.raises(DomainError):
+        custom_monomial_model(circle_domain(), [[1, 0], [0, 1]], cov)
+
+
+def test_model_accepts_semidefinite_covariance_roundoff():
+    # Rank 1: eigvalsh rounds one of its zero eigenvalues below 0 (about -6e-19).
+    v = np.array([0.1, 0.7, 0.3])
+    cov = np.outer(v, v)
+    assert np.allclose(custom_monomial_model(circle_domain(), [[1, 0], [0, 1], [2, 0]],
+                                             cov).coeff_cov, cov)
+
+
 def test_condition_rejects_degenerate():
     model = custom_monomial_model(circle_domain(), [[0, 0]], np.zeros((1, 1)))
     with pytest.raises(DegenerateModelError):
@@ -390,7 +408,7 @@ def test_nabla_law_isotropic_is_raw_derivative_covariance(rng):
     model = kostlan_model(2, 3)
     p = random_sphere_point(rng, 3)
     jc = jet_covariance(model, p)
-    assert np.abs(nabla_derivative_law(model, p) - jc.K1).max() < 1e-12
+    assert np.abs(jc.conditional()[1] - jc.K1).max() < 1e-12
 
 
 def test_nabla_law_decorrelates_value(rng):
@@ -401,7 +419,7 @@ def test_nabla_law_decorrelates_value(rng):
     p = np.array([0.3])
     jc = jet_covariance(model, p)
     assert np.abs(jc.K01).max() > 0.1
-    cond_cov = nabla_derivative_law(model, p)
+    cond_cov = jc.conditional()[1]
     # sample jets and values, checking empirical decorrelation
     factor = pivoted_cholesky(cov)
     n = 100_000
@@ -420,7 +438,8 @@ def test_conditional_jet_law_mean_shift():
     p = np.array([0.3])
     jc = jet_covariance(model, p)
     y = np.array([2.0])
-    mean, cond_cov = conditional_jet_law(model, p, y)
+    a, cond_cov = jc.conditional()
+    mean = a @ y
     assert mean[0] == pytest.approx(jc.K01[0, 0] / jc.K0[0, 0] * 2.0, abs=1e-12)
     assert cond_cov[0, 0] == pytest.approx(
         jc.K1[0, 0] - jc.K01[0, 0] ** 2 / jc.K0[0, 0], abs=1e-12)

@@ -21,13 +21,12 @@ from kacrice.formulas import (
 )
 from kacrice.level_sets import (
     circle_target,
-    half_line_region,
     line_segment_target,
     linear_subspace_target,
     point_target,
     synthetic_growth_target,
 )
-from kacrice.quadrature import circle_region, cube_region, point_region, sphere_region
+from kacrice.quadrature import circle_region, cube_region, sphere_region
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +175,6 @@ def test_expected_count_kostlan_within_two_percent():
     est = expected_count(model, point_target([0.0]), circle_region(8),
                          n_samples=50_000, seed=5)
     assert abs(est.value - 10.0) / 10.0 < 0.02
-
-
-def test_expected_count_dim0_half_line():
-    model = kostlan_model(1, 4)
-    est = expected_count(model, half_line_region(0.0), point_region([[1.0, 0.0]]))
-    assert est.value == pytest.approx(0.5, abs=1e-14)
-    assert est.std_error == 0.0
-
-
-def test_expected_count_dim0_needs_region_target():
-    model = kostlan_model(1, 4)
-    with pytest.raises(ConfigurationError):
-        expected_count(model, point_target([0.0]), point_region([[1.0, 0.0]]))
 
 
 def test_density_point_rejects_degenerate_value_covariance():

@@ -6,7 +6,6 @@ import pytest
 from kacrice.errors import ConfigurationError, DomainError
 from kacrice.level_sets import (
     circle_target,
-    half_line_region,
     line_segment_target,
     linear_subspace_target,
     point_target,
@@ -70,23 +69,3 @@ def test_missing_fiber_sampler_is_configuration_error():
 def test_synthetic_growth_profile():
     W = synthetic_growth_target(lambda r: r**3)
     assert W.volume_in_ball(2.0) == 8.0
-
-
-def test_half_line_probability_exact():
-    region = half_line_region(0.0)
-    p, se = region.probability(np.array([[4.0]]))
-    assert p == 0.5 and se == 0.0
-    region_above_one = half_line_region(1.0)
-    p1, _ = region_above_one.probability(np.array([[1.0]]))
-    assert p1 == pytest.approx(0.5 * math.erfc(1.0 / math.sqrt(2.0)))
-    below = half_line_region(0.0, above=False)
-    assert below.probability(np.eye(1))[0] == 0.5
-
-
-def test_region_monte_carlo_fallback():
-    region = half_line_region(0.0)
-    stripped = type(region)(ambient_dim=1, contains=region.contains,
-                            exact_probability=None)
-    p, se = stripped.probability(np.eye(1), n_mc=50_000, seed=3)
-    assert se > 0.0
-    assert abs(p - 0.5) < 4.0 * se

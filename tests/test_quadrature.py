@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kacrice.errors import ConfigurationError
-from kacrice.quadrature import circle_region, cube_region, point_region, sphere_region
+from kacrice.quadrature import circle_region, cube_region, sphere_region
 
 
 def test_circle_region_total_length():
@@ -33,9 +33,3 @@ def test_cube_region_weights_and_moments():
     assert reg.volume == pytest.approx(1.0, rel=1e-13)
     xy = np.sum(reg.weights * reg.nodes[:, 0] * reg.nodes[:, 1])
     assert xy == pytest.approx(0.25, rel=1e-12)
-
-
-def test_point_region_dimension_zero():
-    reg = point_region([[1.0, 0.0], [0.0, 1.0]])
-    assert reg.dim == 0
-    assert reg.volume == 2.0
