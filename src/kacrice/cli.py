@@ -119,7 +119,12 @@ def _run_point_count(cfg: ExperimentConfig):
     model = build_model(spec)
     if model.output_dim != 1 or model.domain.m != 1:
         raise ConfigurationError("point_count needs a scalar model on the circle at $.model")
-    y = float(np.atleast_1d(np.asarray(cfg.target.get("y", [0.0]), float))[0])
+    if cfg.target.get("kind") != "point":
+        raise ConfigurationError("point_count needs target.kind = point at $.target.kind")
+    levels = np.atleast_1d(np.asarray(cfg.target.get("y", [0.0]), float))
+    if levels.size != 1:
+        raise ConfigurationError("point_count needs exactly one level at $.target.y")
+    y = float(levels[0])
     s0, s1 = _model_sigmas(spec)
     formula = formulas.isotropic_point_count(s0, s1, [y])
     counter = functools.partial(oracle.count_zeros_circle,
@@ -130,18 +135,20 @@ def _run_point_count(cfg: ExperimentConfig):
 
 
 def _run_sphere_count(cfg: ExperimentConfig):
+    if cfg.model.get("kind") != "kostlan":
+        raise ConfigurationError("sphere_count needs model.kind = kostlan at $.model.kind")
+    if cfg.model.get("m") != 2:
+        raise ConfigurationError("sphere_count needs model.m = 2 at $.model.m")
     degrees = cfg.model.get("degrees")
     if not degrees or len(degrees) != 2:
-        raise ConfigurationError("sphere_count needs model.degrees = [d1, d2]")
+        raise ConfigurationError("sphere_count needs model.degrees = [d1, d2] at $.model.degrees")
     d1, d2 = degrees
     model1 = kostlan_model(2, d1)
     model2 = kostlan_model(2, d2)
     formula = formulas.shub_smale(degrees)
-    n_seeds = cfg.param("n_seeds")
 
     def counter_by_seed(s: int):
-        return oracle.count_common_zeros_sphere(
-            sample(model1, s), sample(model2, s + 0x9E3779B9), n_seeds=n_seeds)
+        return oracle.count_common_zeros_sphere(sample(model1, s), sample(model2, s + 0x9E3779B9))
 
     est = oracle.mc_expected_count_seeded(counter_by_seed, cfg.param("n_realizations"),
                                           cfg.seed)

@@ -37,7 +37,6 @@ PARAM_DEFAULTS: dict[str, Any] = {
     "n_realizations": 2000,   # realizations per Monte Carlo oracle estimate
     "n_samples": 20000,       # inner Monte Carlo jets per density evaluation
     "grid_n": 1024,           # circle grid for sign-change root counting
-    "n_seeds": 1500,          # Newton seed grid size on the sphere
     "region_nodes": 16,       # outer cubature nodes on the base manifold
     "n_rotations": 400,       # Haar rotations for the kinematic oracle
     "max_segment": 1e-3,      # polyline resolution on the sphere

@@ -1,10 +1,11 @@
 """Brute-force validators that avoid the Kac-Rice formulas entirely.
 
 Counts here come from individual realizations: sign-change bisection on the
-circle, projected Newton from dense seed grids on the sphere, and exact
-segment-pair intersection of polylines under Haar-random rotations.  Every
-count carries a resolution audit (doubling the grid must not change it) so
-under-resolution is observable rather than silent.
+circle, the real roots of one resultant polynomial on the sphere, and exact
+segment-pair intersection of polylines under Haar-random rotations.  Circle
+counts carry a resolution audit (doubling the grid must not change it), and
+sphere counts flag a vanishing resultant and roots too close to call, so
+unresolved realizations are observable rather than silent.
 """
 
 from __future__ import annotations
@@ -18,12 +19,21 @@ import numpy as np
 from .errors import DomainError
 from .estimate import Estimate
 from .fields import FieldModel, Realization, sample
-from .fields import sphere_tangent_frames as _sphere_tangent_frames
 
 BISECT_TOL = 1e-12         # bracket width at which circle-root bisection stops
 TRANSVERSALITY_TOL = 1e-8  # |derivative| below which a circle zero is non-transverse
 MAX_EXCLUDED_FRACTION = 0.05  # flagged-sample share above which an MC estimate is flagged
 CROSSING_MARGIN_TOL = 1e-10   # distance to tangency below which a rotation is resampled
+RESULTANT_VANISH_TOL = 1e-10  # share of Hadamard's bound below which the resultant is 0
+REAL_ROOT_TOL = 1e-9          # |log|w|| below which a resultant root counts as real
+AMBIGUOUS_ROOT_TOL = 1e-6     # |log|w|| or root gap below which a root is too close to call
+
+# Projection centre of the sphere resultant, a generic point: not a coordinate
+# axis, where simple test fields put their common zeros.  The rows U1, U2 of
+# _SPHERE_PLANE complete it to an orthonormal basis.
+SPHERE_CENTRE = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
+_U1 = np.cross(SPHERE_CENTRE, [1.0, 0.0, 0.0])
+_SPHERE_PLANE = np.stack([_U1, np.cross(SPHERE_CENTRE, _U1)]) / np.linalg.norm(_U1)
 
 
 @dataclass(frozen=True)
@@ -143,167 +153,78 @@ def count_signed_zeros_circle(realization: Realization, grid_n: int = 1024) -> C
 # Common zeros of two scalar fields on the sphere
 # ---------------------------------------------------------------------------
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n reasonably even deterministic points on S^2 (golden-angle spiral)."""
-    i = np.arange(n)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = i * math.pi * (3.0 - math.sqrt(5.0))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+def _homogeneous_degree(r: Realization) -> int:
+    """Total degree d of a scalar realization on S^2 whose monomials all have degree d."""
+    model = r.model
+    if model.output_dim != 1 or model.domain.name != "sphere":
+        raise DomainError("common-zero counting needs scalar fields on the sphere")
+    degrees = {int(d) for _, basis in model.components for d in basis.exponents.sum(axis=1)}
+    if len(degrees) != 1:
+        raise DomainError("common-zero counting needs homogeneous fields "
+                          "(monomials of one total degree)")
+    return degrees.pop()
 
 
-def _projective_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """RP^2 distances min(|a - b|, |a + b|) between the rows of a (N, 3) and b (M, 3)."""
-    a, b = a[:, None, :], b[None, :, :]
-    return np.minimum(np.linalg.norm(a - b, axis=2), np.linalg.norm(a + b, axis=2))
+def _z_coefficients(r: Realization, d: int, pts: np.ndarray) -> np.ndarray:
+    """Coefficients (N, d + 1) of z^0..z^d in r(p + z C) at each point p of pts (N, 3).
+
+    The polynomial of degree d is fitted exactly through its values at d + 1
+    Chebyshev nodes of z."""
+    z = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
+    vals = r.value((pts[:, None, :] + z[None, :, None] * SPHERE_CENTRE).reshape(-1, 3))
+    return np.linalg.solve(np.vander(z, increasing=True), vals.reshape(-1, d + 1).T).T
 
 
-def _projective_dedup(roots: np.ndarray, radius: float) -> np.ndarray:
-    """Roots not within radius (in RP^2) of an earlier kept root, in input order.
+def count_common_zeros_sphere(r1: Realization, r2: Realization) -> CountSample:
+    """Projective count of common zeros of two homogeneous scalar realizations on S^2.
 
-    Each kept root is the first one not yet covered, and it covers every root
-    within radius of it; a root can only be covered by an earlier kept root,
-    so this is the sequential greedy selection."""
-    uncovered = np.ones(roots.shape[0], dtype=bool)
-    kept = []
-    while uncovered.any():
-        i = int(np.argmax(uncovered))
-        kept.append(i)
-        uncovered &= _projective_distances(roots[i:i + 1], roots)[0] >= radius
-        uncovered[i] = False  # also when radius <= 0
-    return roots[kept]
-
-
-def count_common_zeros_sphere(r1: Realization, r2: Realization,
-                              n_seeds: int = 1500, max_iter: int = 150,
-                              tol: float = 1e-12, dedup_radius: float = 1e-6) -> CountSample:
-    """Projective count of common zeros of two scalar realizations on S^2.
-
-    Projected Newton is run from a dense deterministic seed grid; converged
-    roots are deduplicated up to the antipodal map and the count is reported
-    in RP^2 (sphere count halved by antipodal identification).  The count is
-    audited by doubling the seed density.
+    Projecting RP^2 from the centre C onto the line u(phi) = cos phi U1 +
+    sin phi U2 (U1, U2 orthonormal to C) turns the common zeros into the real
+    roots of R(phi) = Res_z(f1(u(phi) + z C), f2(u(phi) + z C)), a
+    trigonometric polynomial of degree exactly D = d1 d2.  R is sampled at
+    2D + 1 nodes (Sylvester determinants of the z-coefficients), its
+    Fourier coefficients make a degree-2D polynomial in w = e^{i phi}, and
+    the unit-circle roots of that polynomial are the common zeros, each
+    projective zero twice (phi and phi + pi).  The sample is flagged when R
+    vanishes identically (a common zero at C, or a shared factor), or when
+    a root is too close to the unit circle or to another root to call
+    (a non-transverse intersection, or two zeros on one line through C).
     """
-    for r in (r1, r2):
-        if r.model.output_dim != 1:
-            raise DomainError("common-zero counting needs scalar fields")
+    d1, d2 = _homogeneous_degree(r1), _homogeneous_degree(r2)
+    D = d1 * d2
+    phis = np.arange(2 * D + 1) * (2.0 * np.pi / (2 * D + 1))
+    u = np.cos(phis)[:, None] * _SPHERE_PLANE[0] + np.sin(phis)[:, None] * _SPHERE_PLANE[1]
+    a, b = _z_coefficients(r1, d1, u)[:, ::-1], _z_coefficients(r2, d2, u)[:, ::-1]
+    sylvester = np.zeros((phis.size, d1 + d2, d1 + d2))
+    for i in range(d2):
+        sylvester[:, i, i:i + d1 + 1] = a
+    for i in range(d1):
+        sylvester[:, d2 + i, i:i + d2 + 1] = b
+    fourier = np.fft.fft(np.linalg.det(sylvester)) / phis.size
+    hadamard = np.prod(np.linalg.norm(sylvester, axis=2), axis=1).max()
 
-    def residual(pts):
-        return np.maximum(np.abs(r1.value(pts)), np.abs(r2.value(pts)))
-
-    def tangential_system(pts):
-        """(f1, f2, tangent frames t1 and t2, Jacobian entries (a, b, c, d), det):
-        J = [[a, b], [c, d]] holds the derivatives of (f1, f2) along (t1, t2)."""
-        f1, g1 = r1.value_and_ambient_gradient(pts)
-        f2, g2 = r2.value_and_ambient_gradient(pts)
-        t1, t2 = _sphere_tangent_frames(pts)
-        a = (g1 * t1).sum(1)
-        b = (g1 * t2).sum(1)
-        c = (g2 * t1).sum(1)
-        d = (g2 * t2).sum(1)
-        return f1, f2, t1, t2, (a, b, c, d), a * d - b * c
-
-    def newton_pass(pts, iters):
-        """Damped projected Newton; returns (roots, n_unfinished).
-
-        Backtracking keeps the residual monotone, killing the attracting
-        cycles plain Newton is prone to.  Seeds then terminate either at a
-        zero or at a positive local minimum of the residual; the latter is
-        a legitimate outcome (the seed's basin holds no zero) and is evicted
-        quietly.  Only seeds still improving when the iteration budget runs
-        out count as non-converged.
-        """
-        found: list[np.ndarray] = []
-        res = residual(pts)
-        n_degenerate = 0
-        for _ in range(iters):
-            if pts.shape[0] == 0:
-                break
-            done = res < 1e3 * tol
-            if done.any():
-                found.append(pts[done])
-                pts, res = pts[~done], res[~done]
-                if pts.shape[0] == 0:
-                    break
-            # 2x2 tangential systems J delta = -F, solved in closed form.
-            f1, f2, t1, t2, (a, b, c, d), det = tangential_system(pts)
-            degenerate = np.abs(det) < 1e-300
-            safe = np.where(degenerate, 1.0, det)
-            d1 = (-f1 * d + f2 * b) / safe
-            d2 = (-f2 * a + f1 * c) / safe
-            step = t1 * d1[:, None] + t2 * d2[:, None]
-            norm = np.linalg.norm(step, axis=1, keepdims=True)
-            factor = np.where(norm > 0.5, 0.5 / np.maximum(norm, 1e-300), 1.0)
-            step = np.where(degenerate[:, None], 0.0, step * factor)
-            scale = np.ones(pts.shape[0])
-            best_pts, best_res = pts.copy(), res.copy()
-            improved = np.zeros(pts.shape[0], dtype=bool)
-            for _ in range(5):
-                todo = ~improved
-                if not todo.any():
-                    break
-                cand = pts[todo] + scale[todo, None] * step[todo]
-                cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-                cand_res = residual(cand)
-                better = cand_res < best_res[todo]
-                idx = np.nonzero(todo)[0][better]
-                best_pts[idx] = cand[better]
-                best_res[idx] = cand_res[better]
-                improved[idx] = True
-                scale *= 0.5
-            # Evict stalled seeds (no improvement along the Newton direction)
-            # and valley crawlers (improving, but too slowly to be heading
-            # for a zero, which Newton approaches superlinearly).
-            crawling = improved & (best_res > 0.7 * res) & (best_res > 1e-6)
-            bad = ~improved | degenerate | crawling
-            n_degenerate += int(degenerate.sum())
-            if bad.any():
-                best_pts, best_res = best_pts[~bad], best_res[~bad]
-            pts, res = best_pts, best_res
-        n_unfinished = pts.shape[0]
-        roots = np.concatenate(found) if found else np.zeros((0, 3))
-        return roots, n_unfinished, n_degenerate
-
-    def solve(n: int):
-        roots, n_unfinished, n_degenerate = newton_pass(fibonacci_sphere(n), max_iter)
-        return roots, n_unfinished / n, n_degenerate / n
-
-    roots, fail_frac, degen_frac = solve(n_seeds)
-    proj = _projective_dedup(roots, dedup_radius)
-    roots_b, _, _ = solve(2 * n_seeds)
-    proj_b = _projective_dedup(roots_b, dedup_radius)
-
-    flagged = False
     reason = ""
-    if fail_frac > 0.01:
-        flagged, reason = True, f"newton failed to converge on {fail_frac:.1%} of seeds"
-    if degen_frac > 0.2:
-        flagged, reason = True, "singular tangential Jacobian on many seeds (non-transverse pair)"
-    if proj.shape[0] != proj_b.shape[0]:
-        flagged, reason = True, "count changed under seed-grid doubling"
+    n_real, min_sep = 0, float("inf")
+    if np.abs(fourier).max() <= RESULTANT_VANISH_TOL * hadamard:
+        reason = "resultant vanishes identically (a common zero at the centre, or a shared factor)"
+    else:
+        # w^D R = sum_k c_k w^(k + D), highest power first.
+        roots = np.roots(fourier[np.arange(D, -D - 1, -1)])
+        off_circle = np.abs(np.log(np.abs(roots)))
+        real = off_circle < REAL_ROOT_TOL
+        n_real = int(real.sum())
+        gap = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(roots.size, 1)]
+        if min(off_circle[~real].min(initial=np.inf), gap.min(initial=np.inf)) \
+                < AMBIGUOUS_ROOT_TOL:
+            reason = ("resultant roots too close to call (a non-transverse intersection, "
+                      "or two zeros on one line through the centre)")
+        if n_real > 1:
+            angles = np.sort(np.mod(np.angle(roots[real]), 2.0 * np.pi))
+            min_sep = float(np.diff(angles, append=angles[0] + 2.0 * np.pi).min())
 
-    min_sep = float("inf")
-    if proj.shape[0] > 1:
-        dist = _projective_distances(proj, proj)
-        min_sep = float(dist[np.triu_indices(proj.shape[0], 1)].min())
-
-    if proj.shape[0]:
-        # Antipodal pairing is exact for (anti)symmetric homogeneous fields.
-        parity_err = max(
-            float(np.abs(np.abs(r1.value(-proj)) - np.abs(r1.value(proj))).max()),
-            float(np.abs(np.abs(r2.value(-proj)) - np.abs(r2.value(proj))).max()),
-        )
-        if parity_err > 1e-8:
-            flagged, reason = True, "antipodal parity violated at roots"
-        # Transversality: the tangential 2x2 Jacobian must be invertible.
-        if np.abs(tangential_system(proj)[-1]).min() < 1e-8:
-            flagged, reason = True, "non-transverse intersection at a root"
-
-    return CountSample(count=int(proj.shape[0]), seed=r1.seed,
-                       diagnostics={"min_separation": min_sep,
-                                    "newton_fail_fraction": fail_frac,
-                                    "sphere_count": int(2 * proj.shape[0])},
-                       flagged=flagged, flag_reason=reason)
+    return CountSample(count=n_real // 2, seed=r1.seed,
+                       diagnostics={"min_separation": min_sep, "sphere_count": n_real},
+                       flagged=bool(reason), flag_reason=reason)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,7 @@ def test_criterion_02_shub_smale_sphere():
     m2, m3 = kostlan_model(2, 2), kostlan_model(2, 3)
 
     def counter(s):
-        return count_common_zeros_sphere(sample(m2, s), sample(m3, s + 0x9E3779B9),
-                                         n_seeds=1500)
+        return count_common_zeros_sphere(sample(m2, s), sample(m3, s + 0x9E3779B9))
 
     est = mc_expected_count_seeded(counter, 1000, seed=202)
     elapsed = time.monotonic() - t0

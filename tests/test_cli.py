@@ -147,6 +147,7 @@ def test_bad_count_params_exit_2(tmp_path, capsys, key, value):
     ("params", {"n_realizations": 60, "fiber_nodes": 3}, "$.params.fiber_nodes"),
     ("target", {"kind": "half_line", "y": [0.0]}, "$.target.kind"),
     ("target", {"kind": "point", "y": [0.0], "threshold": 0.7}, "$.target.threshold"),
+    ("params", {"n_realizations": 60, "n_seeds": 1500}, "$.params.n_seeds"),
 ])
 def test_unread_config_values_exit_2(tmp_path, capsys, section, value, path):
     # No experiment reads these values, so a config that sets them is rejected.
@@ -161,6 +162,9 @@ def test_unread_config_values_exit_2(tmp_path, capsys, section, value, path):
 KOSTLAN = {"kind": "kostlan", "m": 1, "k": 1}
 CUSTOM = {"kind": "custom_basis", "m": 1, "exponents": [[1, 0], [0, 1]]}
 CURVES = {"kind": "curve_pair", "curve2": {"kind": "great_circle"}}
+# Valid models for the rows that test another section of these experiments.
+VALID_MODELS = {"point_count": dict(KOSTLAN, degree=4),
+                "sphere_count": {"kind": "kostlan", "m": 2, "degrees": [2, 3]}}
 
 
 @pytest.mark.parametrize("experiment, section, value, path", [
@@ -192,10 +196,15 @@ CURVES = {"kind": "curve_pair", "curve2": {"kind": "great_circle"}}
                                    "degrees": [9, 4]}, "$.model.degrees"),
     ("kinematic", "target", dict(CURVES, curve1={"kind": "latitude", "axis": [0, 0, 0]}),
      "$.target"),
+    ("point_count", "target", {"kind": "circle", "radius": 2.0}, "$.target.kind"),
+    ("point_count", "target", {"kind": "point", "y": [0.3, 5.0]}, "$.target.y"),
+    ("sphere_count", "model", {"kind": "mixed_kostlan", "m": 2, "coeff_mats": [[[1.0]]],
+                               "degrees": [2, 3]}, "$.model.kind"),
+    ("sphere_count", "model", {"kind": "kostlan", "m": 1, "degrees": [2, 3]}, "$.model.m"),
 ])
 def test_bad_model_target_and_grid_values_exit_2(tmp_path, capsys, experiment, section,
                                                  value, path):
-    cfg = {"experiment": experiment, section: value,
+    cfg = {"experiment": experiment, "model": VALID_MODELS.get(experiment, {}), section: value,
            "params": {"n_realizations": 10, "n_rotations": 10, "R_grid": [1, 2, 3],
                       "degree_grid": [1], "epsilon_grid": [0.5]},
            "output": {"path": str(tmp_path / "out.csv"), "format": "csv"}}
@@ -206,6 +215,24 @@ def test_bad_model_target_and_grid_values_exit_2(tmp_path, capsys, experiment, s
     assert path in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+# The sphere_count record of the Newton oracle that the resultant count replaced.
+SPHERE_COUNT_RECORD = (
+    b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+    b"sphere_count,6.0,2.449489742783178,2.62,0.1412641340027806,1.2070314834016251,100,2024\n")
+
+
+def test_sphere_count_record_is_pinned(tmp_path):
+    cfg = {
+        "experiment": "sphere_count",
+        "model": {"kind": "kostlan", "m": 2, "degrees": [2, 3]},
+        "params": {"n_realizations": 100},
+        "seed": 2024,
+        "output": {"path": str(tmp_path / "sphere.csv"), "format": "csv"},
+    }
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "sphere.csv").read_bytes() == SPHERE_COUNT_RECORD
 
 
 def test_missing_config_file_exits_2(tmp_path):

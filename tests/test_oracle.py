@@ -11,14 +11,15 @@ from kacrice.fields import (
     Realization,
     circle_domain,
     custom_monomial_model,
+    isotropic_model,
     kostlan_model,
     sample,
+    sphere_domain,
 )
 from kacrice.oracle import (
     count_common_zeros_sphere,
     count_signed_zeros_circle,
     count_zeros_circle,
-    fibonacci_sphere,
     haar_rotation,
     kinematic_mc,
     mc_expected_count,
@@ -144,68 +145,95 @@ def linear_field(coeffs):
     return Realization(model, np.asarray(coeffs, dtype=float), seed=0)
 
 
+def product_of_linear_forms(*forms):
+    """The realization prod_i <a_i, x> on S^2, by its monomial coefficients."""
+    poly = {(0, 0, 0): 1.0}
+    for a in forms:
+        expanded = {}
+        for exps, c in poly.items():
+            for v in range(3):
+                e = tuple(x + (i == v) for i, x in enumerate(exps))
+                expanded[e] = expanded.get(e, 0.0) + c * a[v]
+        poly = expanded
+    exps = sorted(poly)
+    model = custom_monomial_model(sphere_domain(), exps, np.eye(len(exps)))
+    return Realization(model, np.array([poly[e] for e in exps]), seed=0)
+
+
 def test_common_zeros_of_coordinate_functions():
-    cs = count_common_zeros_sphere(linear_field([1, 0, 0]), linear_field([0, 1, 0]),
-                                   n_seeds=600)
+    cs = count_common_zeros_sphere(linear_field([1, 0, 0]), linear_field([0, 1, 0]))
     assert cs.count == 1  # the projective point (0 : 0 : 1)
     assert cs.diagnostics["sphere_count"] == 2
+    assert cs.diagnostics["min_separation"] == pytest.approx(np.pi)
     assert not cs.flagged
 
 
 def test_common_zeros_flags_degenerate_pair():
     r = linear_field([1, 0, 0])
-    cs = count_common_zeros_sphere(r, r, n_seeds=300)
+    cs = count_common_zeros_sphere(r, r)
     assert cs.flagged
 
 
-def test_common_zeros_resolution_stability():
-    m2, m3 = kostlan_model(2, 2), kostlan_model(2, 3)
+def test_common_zeros_of_line_arrangements_meet_bezout_bound():
+    # Two lines and three lines in general position meet in 2 x 3 points.
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        lines = rng.standard_normal((5, 3))
+        cs = count_common_zeros_sphere(product_of_linear_forms(*lines[:2]),
+                                       product_of_linear_forms(*lines[2:]))
+        assert cs.count == 6
+        assert cs.diagnostics["sphere_count"] == 12
+        assert not cs.flagged
+
+
+def test_common_zeros_none_when_one_field_has_no_real_zero():
+    norm_squared = Realization(
+        custom_monomial_model(sphere_domain(), [[2, 0, 0], [0, 2, 0], [0, 0, 2]], np.eye(3)),
+        np.ones(3), seed=0)
     for s in range(10):
-        a = count_common_zeros_sphere(sample(m2, s), sample(m3, 900 + s), n_seeds=1000)
-        b = count_common_zeros_sphere(sample(m2, s), sample(m3, 900 + s), n_seeds=2000)
-        if not (a.flagged or b.flagged):
-            assert a.count == b.count
+        cs = count_common_zeros_sphere(norm_squared, sample(kostlan_model(2, 3), s))
+        assert cs.count == 0
+        assert not cs.flagged
 
 
-def sequential_projective_dedup(roots, radius):
-    """The root-by-root greedy dedup, as a reference."""
-    kept = []
-    for r in roots:
-        if not any(min(np.linalg.norm(r - k), np.linalg.norm(r + k)) < radius for k in kept):
-            kept.append(r)
-    return np.array(kept) if kept else np.zeros((0, 3))
+def test_common_zeros_flags_a_common_zero_at_the_centre():
+    a, b = np.cross(oracle.SPHERE_CENTRE, np.eye(3)[:2])
+    cs = count_common_zeros_sphere(linear_field(a), linear_field(b))
+    assert cs.flagged
+    assert "vanishes" in cs.flag_reason
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(1, 8))
-def test_projective_dedup_equals_sequential_loop(seed, n_chains, chain_len):
-    # Chains of near-duplicates spaced 0.3-1.1 radii apart, so roots are
-    # covered or not depending on which earlier root was kept, shuffled and
-    # with random antipodal flips.
-    rng = np.random.default_rng(seed)
-    radius = 1e-3
-    roots = []
-    for _ in range(n_chains):
-        p = rng.standard_normal(3)
-        for _ in range(chain_len):
-            p = p / np.linalg.norm(p)
-            roots.append(p)
-            step = rng.standard_normal(3)
-            step -= (step @ p) * p
-            p = p + rng.uniform(0.3, 1.1) * radius * step / np.linalg.norm(step)
-    roots = np.array(roots).reshape(-1, 3)
-    roots = roots[rng.permutation(roots.shape[0])]
-    roots *= rng.choice([-1.0, 1.0], size=(roots.shape[0], 1))
-    kept = oracle._projective_dedup(roots, radius)
-    assert np.array_equal(kept, sequential_projective_dedup(roots, radius))
-    assert kept.shape[1] == 3
+def test_common_zeros_flags_two_zeros_on_one_line_through_the_centre():
+    # The line through p and q passes through the centre, so both common
+    # zeros of that line and of a conic through p and q project to one point.
+    rng = np.random.default_rng(9)
+    p = np.array([1.0, 0.0, 0.0])
+    q = oracle.SPHERE_CENTRE - 0.4 * p
+    line = product_of_linear_forms(np.cross(p, q))
+    conic = product_of_linear_forms(np.cross(p, rng.standard_normal(3)),
+                                    np.cross(q, rng.standard_normal(3)))
+    cs = count_common_zeros_sphere(line, conic)
+    assert cs.flagged
+    assert "too close" in cs.flag_reason
 
 
-def test_fibonacci_sphere_on_unit_sphere():
-    pts = fibonacci_sphere(500)
-    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
-    # reasonably spread: mean should be near the origin
-    assert np.abs(pts.mean(axis=0)).max() < 0.05
+def test_common_zeros_flags_a_near_tangency():
+    # The line x = (1 + delta) z touches the cone x^2 + y^2 = z^2 at delta = 0
+    # and misses it by a hair at delta = 2e-12, where the resultant's roots
+    # lie about 8e-7 off the unit circle and 1.6e-6 apart.
+    cone = Realization(
+        custom_monomial_model(sphere_domain(), [[2, 0, 0], [0, 2, 0], [0, 0, 2]], np.eye(3)),
+        np.array([1.0, 1.0, -1.0]), seed=0)
+    for delta in (0.0, 2e-12):
+        cs = count_common_zeros_sphere(cone, product_of_linear_forms([1.0, 0.0, -1.0 - delta]))
+        assert cs.flagged
+        assert "too close" in cs.flag_reason
+
+
+def test_common_zeros_reject_non_homogeneous_fields():
+    mixed = sample(isotropic_model([np.eye(1), np.eye(1)], m=2), 1)
+    with pytest.raises(DomainError):
+        count_common_zeros_sphere(mixed, sample(kostlan_model(2, 2), 2))
 
 
 # ---------------------------------------------------------------------------
