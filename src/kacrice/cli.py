@@ -37,6 +37,7 @@ from .fields import (
 )
 from .quadrature import circle_region
 
+LATITUDE_RHO = 1.0  # polar radius of a latitude curve that sets no rho
 CSV_COLUMNS = ("experiment", "x", "formula", "oracle_mean", "oracle_se",
                "discrepancy_se", "n", "seed")
 
@@ -97,7 +98,7 @@ def build_curve(spec: dict):
     axis = tuple(spec.get("axis", (0.0, 0.0, 1.0)))
     if spec["kind"] == "great_circle":
         return curves.great_circle(axis)
-    return curves.latitude_circle(float(spec.get("rho", 1.0)), axis)
+    return curves.latitude_circle(float(spec.get("rho", LATITUDE_RHO)), axis)
 
 
 def _model_sigmas(spec: dict):
@@ -181,7 +182,8 @@ def _run_kinematic(cfg: ExperimentConfig):
     formula = formulas.kinematic_rhs_sphere(c1, c2)
     est = oracle.kinematic_mc(c1, c2, cfg.param("n_rotations"), cfg.seed,
                               max_segment=cfg.param("max_segment"))
-    x = cfg.target["curve1"].get("rho", 0.0)
+    spec1 = cfg.target["curve1"]
+    x = spec1.get("rho", LATITUDE_RHO) if spec1["kind"] == "latitude" else 0.0
     return [_record("kinematic", x, formula.value, est, cfg.seed)], est.flagged
 
 

@@ -204,7 +204,8 @@ def _validate_target(target: dict) -> dict:
             if not isinstance(curve, dict) or curve.get("kind") not in CURVE_KINDS:
                 raise ConfigurationError(
                     f"curve spec must have kind in {CURVE_KINDS} at $.target.{name}")
-            _require_keys(curve, f"$.target.{name}", allowed={"kind", "rho", "axis"})
+            _require_keys(curve, f"$.target.{name}", allowed=(
+                {"kind", "axis"} if curve["kind"] == "great_circle" else {"kind", "rho", "axis"}))
             _numbers(curve.get("rho", 1.0), f"$.target.{name}.rho", (0,))
             _numbers(curve.get("axis", [0.0, 0.0, 1.0]), f"$.target.{name}.axis", (1,))
     return dict(target)

@@ -284,11 +284,7 @@ def _pulled_back_normals(curve, n: int):
     from .curves import rotation_from_z
 
     pts, _, normals, weights = curve.quadrature(n)
-    planar = np.empty((n, 2))
-    for i in range(n):
-        mu = rotation_from_z(pts[i])
-        v = mu.T @ normals[i]
-        planar[i] = v[:2]
+    planar = np.array([(rotation_from_z(x).T @ nu)[:2] for x, nu in zip(pts, normals)])
     return planar, weights
 
 
@@ -309,8 +305,8 @@ def kinematic_rhs_sphere(curve1, curve2, n_curve_nodes: int = 96) -> Estimate:
         # b rotated by every frame angle: (ny, nt, 2)
         brot = np.stack([b[:, 0, None] * ct - b[:, 1, None] * st,
                          b[:, 0, None] * st + b[:, 1, None] * ct], axis=2)
-        sines = sine_angle_lines(a[:, None, None, :], brot[None, :, :, :])
-        sigma_bar = 2.0 * math.pi * sines.mean(axis=2)  # unnormalized fiber integral
+        # Unnormalized fiber integral, one row of a at a time: (ny, nt) temporaries.
+        sigma_bar = 2.0 * math.pi * np.stack([sine_angle_lines(ai, brot).mean(axis=1) for ai in a])
         return float(wa @ sigma_bar @ wb) / VOL_SO3
 
     full = evaluate(n_curve_nodes)

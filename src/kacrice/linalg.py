@@ -170,8 +170,9 @@ def sine_angle_lines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    uu = np.sum(u * u, axis=-1)
-    vv = np.sum(v * v, axis=-1)
-    uv = np.sum(u * v, axis=-1)
+    # Sums run left to right, one component at a time: np.sum's order below
+    # 8 terms, without broadcasting u and v to (..., n) first.
+    uu, vv, uv = (sum(x[..., k] * y[..., k] for k in range(u.shape[-1]))
+                  for x, y in ((u, u), (v, v), (u, v)))
     cross_sq = np.clip(uu * vv - uv * uv, 0.0, None)
     return np.sqrt(cross_sq / (uu * vv))

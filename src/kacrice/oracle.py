@@ -284,46 +284,44 @@ def haar_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 class _SegmentGrid:
-    """Spatial hash of polyline segments for near-pair lookup on the sphere."""
+    """Spatial hash of polyline segment midpoints in cubes of side ``cell``.
+
+    ``keys_sorted`` and ``order`` list the stored segments by cube key;
+    ``near`` holds the distinct keys of every cube within one step of a
+    stored segment's cube, so one search skips the queries far from all.
+    Crossing segments have midpoints in adjacent cubes only if every chord
+    is shorter than ``cell``.
+    """
 
     def __init__(self, points: np.ndarray, cell: float):
         self.points = points
         self.cell = cell
         self.side = int(math.ceil(3.0 / cell)) + 2
+        # Key offsets of the 3x3x3 block of cubes around a cube.
+        self.shifts = (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ [self.side**2, self.side, 1]
         mids = 0.5 * (points + np.roll(points, -1, axis=0))
         keys = self._key(mids)
         self.order = np.argsort(keys, kind="stable")
         self.keys_sorted = keys[self.order]
+        near = (self.keys_sorted[:, None] + self.shifts).ravel()
+        near.sort()
+        self.near = near[np.concatenate(([True], near[1:] != near[:-1]))]
 
     def _key(self, mids: np.ndarray) -> np.ndarray:
         idx = np.floor((mids + 1.5) / self.cell).astype(np.int64)
         return (idx[:, 0] * self.side + idx[:, 1]) * self.side + idx[:, 2]
 
     def candidates(self, mids: np.ndarray):
-        """Pairs (i, j): query segment i near stored segment j."""
+        """Pairs (i, j): query segment i in a cube next to stored segment j's."""
         keys = self._key(mids)
-        n = mids.shape[0]
-        out_i, out_j = [], []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    shift = (dx * self.side + dy) * self.side + dz
-                    target = keys + shift
-                    lo = np.searchsorted(self.keys_sorted, target, side="left")
-                    hi = np.searchsorted(self.keys_sorted, target, side="right")
-                    cnt = hi - lo
-                    tot = int(cnt.sum())
-                    if tot == 0:
-                        continue
-                    i_exp = np.repeat(np.arange(n), cnt)
-                    starts = np.repeat(lo, cnt)
-                    base = np.repeat(np.concatenate([[0], np.cumsum(cnt)[:-1]]), cnt)
-                    pos = starts + (np.arange(tot) - base)
-                    out_i.append(i_exp)
-                    out_j.append(self.order[pos])
-        if not out_i:
-            return np.zeros(0, int), np.zeros(0, int)
-        return np.concatenate(out_i), np.concatenate(out_j)
+        at = np.minimum(np.searchsorted(self.near, keys), self.near.size - 1)
+        qi = np.flatnonzero(self.near[at] == keys)
+        target = (keys[qi, None] + self.shifts).ravel()
+        lo = np.searchsorted(self.keys_sorted, target, side="left")
+        cnt = np.searchsorted(self.keys_sorted, target, side="right") - lo
+        ii = np.repeat(qi, cnt.reshape(-1, self.shifts.size).sum(axis=1))
+        pos = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(ii.size)
+        return ii, self.order[pos]
 
 
 def _count_crossings(p1: np.ndarray, grid: _SegmentGrid):
@@ -334,8 +332,6 @@ def _count_crossings(p1: np.ndarray, grid: _SegmentGrid):
     """
     mids = 0.5 * (p1 + np.roll(p1, -1, axis=0))
     ii, jj = grid.candidates(mids)
-    if ii.size == 0:
-        return 0, True
     a1, b1 = p1[ii], np.roll(p1, -1, axis=0)[ii]
     p2 = grid.points
     a2, b2 = p2[jj], np.roll(p2, -1, axis=0)[jj]
@@ -374,10 +370,14 @@ def kinematic_mc(curve1, curve2, n_rotations: int, seed: int,
     Curves are densified to polylines with segments shorter than
     ``max_segment``; intersections are counted exactly per rotation, and
     rotations producing a near-tangential crossing are resampled (they form
-    a measure-zero event).
+    a measure-zero event).  A polyline with a longer chord (a curve of
+    uneven speed) raises ``DomainError``: the cell search would miss crossings.
     """
     p1 = curve1.polyline(max_segment)
     p2 = curve2.polyline(max_segment)
+    chords = [np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1).max() for p in (p1, p2)]
+    if max(chords) > max_segment:
+        raise DomainError("a polyline chord exceeds max_segment (uneven curve speed)")
     grid = _SegmentGrid(p2, cell=1.05 * max_segment)
     rng = np.random.default_rng(seed)
     counts = np.empty(n_rotations)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -201,6 +202,11 @@ VALID_MODELS = {"point_count": dict(KOSTLAN, degree=4),
     ("sphere_count", "model", {"kind": "mixed_kostlan", "m": 2, "coeff_mats": [[[1.0]]],
                                "degrees": [2, 3]}, "$.model.kind"),
     ("sphere_count", "model", {"kind": "kostlan", "m": 1, "degrees": [2, 3]}, "$.model.m"),
+    ("kinematic", "target", dict(CURVES, curve1={"kind": "great_circle", "rho": 0.5}),
+     "$.target.curve1.rho"),
+    ("kinematic", "target", {"kind": "curve_pair", "curve1": {"kind": "latitude"},
+                             "curve2": {"kind": "great_circle", "rho": 0.5}},
+     "$.target.curve2.rho"),
 ])
 def test_bad_model_target_and_grid_values_exit_2(tmp_path, capsys, experiment, section,
                                                  value, path):
@@ -234,6 +240,39 @@ def test_sphere_count_record_is_pinned(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
     assert (tmp_path / "sphere.csv").read_bytes() == SPHERE_COUNT_RECORD
 
+
+
+# Latitude rho 1.0 against a great circle: 80 rotations, seed 101, max_segment 1e-3.
+KINEMATIC_RECORD = (
+    b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+    b"kinematic,1.0,1.6829466631073815,1.65,0.0854992782558922,0.3853443418408163,80,101\n")
+
+
+def kinematic_config(tmp_path, curve1, n_rotations, seed, name):
+    return {"experiment": "kinematic",
+            "target": {"kind": "curve_pair", "curve1": curve1, "curve2": {"kind": "great_circle"}},
+            "params": {"n_rotations": n_rotations, "max_segment": 1e-3}, "seed": seed,
+            "output": {"path": str(tmp_path / name), "format": "csv"}}
+
+
+def test_kinematic_record_is_pinned(tmp_path):
+    cfg = kinematic_config(tmp_path, {"kind": "latitude", "rho": 1.0}, 80, 101, "kin.csv")
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "kin.csv").read_bytes() == KINEMATIC_RECORD
+
+
+def test_kinematic_record_x_is_the_rho_used(tmp_path):
+    # A latitude curve without rho is built at rho 1.0, so its record is the
+    # record of rho 1.0: x = 1.0 and formula 2 sin 1.
+    records = []
+    for i, curve1 in enumerate(({"kind": "latitude"}, {"kind": "latitude", "rho": 1.0})):
+        cfg = kinematic_config(tmp_path, curve1, 5, 1, f"kin{i}.csv")
+        assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+        records.append((tmp_path / f"kin{i}.csv").read_text())
+    assert records[0] == records[1]
+    row = records[0].splitlines()[1].split(",")
+    assert float(row[1]) == 1.0
+    assert float(row[2]) == pytest.approx(2.0 * math.sin(1.0), rel=1e-5)
 
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2

@@ -228,6 +228,27 @@ def test_sine_angle_lines_matches_principal_angle():
         assert sine_angle_lines(u, v) == pytest.approx(expected, abs=1e-10)
 
 
+
+def sine_angle_lines_np_sum(u, v):
+    """The np.sum form of sine_angle_lines, with (..., n) products."""
+    uu = np.sum(u * u, axis=-1)
+    vv = np.sum(v * v, axis=-1)
+    uv = np.sum(u * v, axis=-1)
+    return np.sqrt(np.clip(uu * vv - uv * uv, 0.0, None) / (uu * vv))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sine_angle_lines_bitwise_equals_np_sum_form(n):
+    rng = np.random.default_rng(31 + n)
+    # The kinematic formula's shapes: all rows of a at once, one row of a,
+    # and plain stacks of pairs.
+    for ushape, vshape in (((6, 1, 1), (1, 5, 16)), ((), (5, 16)), ((40,), (40,)), ((), ())):
+        u = rng.standard_normal(ushape + (n,)) * 10.0 ** rng.uniform(-3, 3, ushape + (n,))
+        v = rng.standard_normal(vshape + (n,)) * 10.0 ** rng.uniform(-3, 3, vshape + (n,))
+        got, want = sine_angle_lines(u, v), sine_angle_lines_np_sum(u, v)
+        assert np.shape(got) == want.shape
+        assert np.array_equal(got, want)
+
 def test_hadamard_bound_for_orthonormal_blocks():
     rng = np.random.default_rng(23)
     for _ in range(100):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from kacrice import curves, oracle
 from kacrice.errors import DomainError
@@ -317,3 +318,63 @@ def test_kinematic_latitude_matches_closed_form():
     est = kinematic_mc(curves.latitude_circle(rho), curves.great_circle(),
                        n_rotations=400, seed=8)
     assert abs(est.value - 2.0 * math.sin(rho)) < 3.0 * est.std_error
+
+
+def brute_force_pairs(grid, mids):
+    """All (i, j) whose midpoint cells differ by at most one on every axis.
+
+    A k-d tree lists the stored midpoints within 2.1 cells in the max norm,
+    a necessary condition for adjacent cells, and the cell indices decide.
+    """
+    stored = 0.5 * (grid.points + np.roll(grid.points, -1, axis=0))
+    cell_q = np.floor((mids + 1.5) / grid.cell)
+    cell_s = np.floor((stored + 1.5) / grid.cell)
+    near = cKDTree(stored).query_ball_point(mids, r=2.1 * grid.cell, p=np.inf)
+    return {(i, j) for i, js in enumerate(near) for j in js
+            if np.abs(cell_q[i] - cell_s[j]).max() <= 1}
+
+
+@pytest.mark.parametrize("max_segment", [1e-3, 1e-2])
+def test_segment_grid_candidates_equal_brute_force(max_segment):
+    p1 = curves.latitude_circle(1.0).polyline(max_segment)
+    grid = oracle._SegmentGrid(curves.great_circle().polyline(max_segment), 1.05 * max_segment)
+    rng = np.random.default_rng(404)
+    total = 0
+    for _ in range(50):
+        q = p1 @ haar_rotation(rng).T
+        mids = 0.5 * (q + np.roll(q, -1, axis=0))
+        ii, jj = grid.candidates(mids)
+        pairs = set(zip(ii.tolist(), jj.tolist()))
+        assert len(pairs) == ii.size  # no pair twice
+        assert pairs == brute_force_pairs(grid, mids)
+        total += ii.size
+    assert total > 0
+
+
+def test_segment_grid_query_with_nothing_nearby():
+    grid = oracle._SegmentGrid(curves.great_circle().polyline(1e-3), 1.05e-3)
+    q = curves.latitude_circle(0.3).polyline(1e-3)  # stays far above the equator
+    ii, jj = grid.candidates(0.5 * (q + np.roll(q, -1, axis=0)))
+    assert ii.shape == jj.shape == (0,)
+    assert ii.dtype.kind == jj.dtype.kind == "i"
+
+
+def test_kinematic_rejects_chords_longer_than_max_segment():
+    # A great circle traced at uneven speed: its polyline's longest chord is
+    # about 1.5x the mean, so crossings could fall outside adjacent cells.
+    def theta(t):
+        return 2 * np.pi * t + 0.5 * np.sin(2 * np.pi * t)
+
+    def gamma(t):
+        return np.stack([np.cos(theta(t)), np.sin(theta(t)), np.zeros_like(t)], axis=1)
+
+    def dgamma(t):
+        speed = 2 * np.pi + np.pi * np.cos(2 * np.pi * t)
+        return speed[:, None] * np.stack([-np.sin(theta(t)), np.cos(theta(t)),
+                                          np.zeros_like(t)], axis=1)
+
+    uneven = curves.SphericalCurve(gamma, dgamma, length=2 * np.pi)
+    other = curves.great_circle(axis=(0, 1, 0))
+    for c1, c2 in ((uneven, other), (other, uneven)):
+        with pytest.raises(DomainError, match="max_segment"):
+            kinematic_mc(c1, c2, n_rotations=5, seed=1)
