@@ -24,7 +24,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NumericError
-from .oracle import BISECT_TOL, _bisect_circle
+
+BISECT_TOL = 1e-12  # bracket width at which root bisection stops
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,23 @@ def _gauss_panel(lo: float, hi: float, order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w
+
+
+def _bisect(func, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Midpoints of the sign-change brackets [lo, hi] of func, bisected until the
+    widest is at most BISECT_TOL (at most 201 steps); each step makes one call of
+    func on every bracket."""
+    flo = func(lo)
+    for _ in range(201):
+        if np.max(hi - lo) <= BISECT_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        fm = func(mid)
+        left = flo * fm <= 0.0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    return 0.5 * (lo + hi)
 
 
 def _merge_breaks(values, lo, hi, tol):
@@ -81,7 +99,7 @@ def area_formula_check(
     change = fpx[:-1] * fpx[1:] < 0.0
     crit = np.zeros(0)
     if change.any():
-        (crit,), _ = _bisect_circle(fprime, [(xs[:-1][change], xs[1:][change])], BISECT_TOL)
+        crit = _bisect(fprime, xs[:-1][change], xs[1:][change])
     node_zero = xs[np.abs(fpx) == 0.0]
     crit = np.concatenate([crit, node_zero])
 
@@ -109,8 +127,7 @@ def area_formula_check(
                 s = fx - q
             hit = s[:-1] * s[1:] < 0.0
             if hit.any():
-                (roots,), _ = _bisect_circle(lambda t: f(t) - q, [(xs[:-1][hit], xs[1:][hit])],
-                                             BISECT_TOL)
+                roots = _bisect(lambda t: f(t) - q, xs[:-1][hit], xs[1:][hit])
                 sums[idx] = float(np.sum(weight(roots)))
             else:
                 sums[idx] = 0.0
@@ -182,15 +199,13 @@ def _segment_endpoints(S, xs, ys, f, q):
     if sx.any():
         ii, jj = np.nonzero(sx)
         y_fix = ys[jj]
-        (roots,), _ = _bisect_circle(lambda t: f(t, y_fix) - q, [(xs[ii], xs[ii + 1])],
-                                     BISECT_TOL)
+        roots = _bisect(lambda t: f(t, y_fix) - q, xs[ii], xs[ii + 1])
         hx[ii, jj] = roots
     vy = np.full(sy.shape, np.nan)
     if sy.any():
         ii, jj = np.nonzero(sy)
         x_fix = xs[ii]
-        (roots,), _ = _bisect_circle(lambda t: f(x_fix, t) - q, [(ys[jj], ys[jj + 1])],
-                                     BISECT_TOL)
+        roots = _bisect(lambda t: f(x_fix, t) - q, ys[jj], ys[jj + 1])
         vy[ii, jj] = roots
 
     bottom, top = sx[:, :-1], sx[:, 1:]

@@ -128,8 +128,7 @@ def _run_point_count(cfg: ExperimentConfig):
     y = float(levels[0])
     s0, s1 = _model_sigmas(spec)
     formula = formulas.isotropic_point_count(s0, s1, [y])
-    counter = functools.partial(oracle.count_zeros_circle,
-                                grid_n=cfg.param("grid_n"), level=y)
+    counter = functools.partial(oracle.count_zeros_circle, level=y)
     est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
     x = spec.get("degree", len(spec.get("coeff_mats", [])) - 1)
     return [_record("point_count", x, formula, est, cfg.seed)], est.flagged
@@ -161,9 +160,8 @@ def _run_signed_count(cfg: ExperimentConfig):
     model = build_model(spec)
     if model.output_dim != 1 or model.domain.m != 1:
         raise ConfigurationError("signed_count needs a scalar model on the circle at $.model")
-    counter = functools.partial(oracle.count_signed_zeros_circle,
-                                grid_n=cfg.param("grid_n"))
-    est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
+    est = oracle.mc_expected_count(model, oracle.count_signed_zeros_circle,
+                                   cfg.param("n_realizations"), cfg.seed)
     weighted = formulas.expected_count(
         model, level_sets.point_target([0.0]), circle_region(cfg.param("region_nodes")),
         n_samples=cfg.param("n_samples"), weight=formulas.sign_weight(), seed=cfg.seed)
@@ -207,8 +205,8 @@ def _run_continuity_sweep(cfg: ExperimentConfig):
         mats = _mixture_mats(float(eps), d_low, d_high)
         formula = formulas.mixed_kostlan_count(mats)
         model = isotropic_model(mats, m=1)
-        counter = functools.partial(oracle.count_zeros_circle, grid_n=cfg.param("grid_n"))
-        est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
+        est = oracle.mc_expected_count(model, oracle.count_zeros_circle,
+                                       cfg.param("n_realizations"), cfg.seed)
         records.append(_record("continuity_sweep", float(eps), formula, est, cfg.seed))
         flagged |= est.flagged
     return records, flagged
@@ -223,8 +221,8 @@ def _run_degree_sweep(cfg: ExperimentConfig):
     for d in grid:
         formula = formulas.isotropic_point_count([[1.0]], [[float(d)]], [0.0])
         model = kostlan_model(1, int(d))
-        counter = functools.partial(oracle.count_zeros_circle, grid_n=cfg.param("grid_n"))
-        est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
+        est = oracle.mc_expected_count(model, oracle.count_zeros_circle,
+                                       cfg.param("n_realizations"), cfg.seed)
         records.append(_record("degree_sweep", float(d), formula, est, cfg.seed))
         flagged |= est.flagged
     return records, flagged

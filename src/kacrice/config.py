@@ -32,11 +32,12 @@ MODEL_KINDS = ("kostlan", "mixed_kostlan", "custom_basis")
 TARGET_KINDS = ("point", "circle", "subspace", "exp_growth", "curve_pair")
 CURVE_KINDS = ("great_circle", "latitude")
 
-# Every numeric parameter with its documented default.
+# Every numeric parameter with its documented default.  The counting oracles
+# take none: a circle or sphere count is the unit-circle roots of one
+# polynomial, with no grid or seed set to choose.
 PARAM_DEFAULTS: dict[str, Any] = {
     "n_realizations": 2000,   # realizations per Monte Carlo oracle estimate
     "n_samples": 20000,       # inner Monte Carlo jets per density evaluation
-    "grid_n": 1024,           # circle grid for sign-change root counting
     "region_nodes": 16,       # outer cubature nodes on the base manifold
     "n_rotations": 400,       # Haar rotations for the kinematic oracle
     "max_segment": 1e-3,      # polyline resolution on the sphere
@@ -45,6 +46,17 @@ PARAM_DEFAULTS: dict[str, Any] = {
     "degree_grid": [],        # degrees for the degree sweep
 }
 
+# The parameters each experiment reads; a config that sets any other exits 2.
+EXPERIMENT_PARAMS = {
+    "point_count": {"n_realizations"},
+    "sphere_count": {"n_realizations"},
+    "signed_count": {"n_realizations", "n_samples", "region_nodes"},
+    "kinematic": {"n_rotations", "max_segment"},
+    "continuity_sweep": {"n_realizations", "epsilon_grid"},
+    "degree_sweep": {"n_realizations", "degree_grid"},
+    "subgaussian": {"R_grid"},
+    "selfcheck": set(),
+}
 
 # Per grid parameter: the entries it accepts (JSON numbers, not bools or NaN).
 GRID_ENTRIES = {
@@ -77,7 +89,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown experiment {experiment!r} at $.experiment")
         model = _validate_model(raw.get("model", {}))
         target = _validate_target(raw.get("target", {}))
-        params = _validate_params(raw.get("params", {}))
+        params = _validate_params(raw.get("params", {}), experiment)
         seed = raw.get("seed", 0)
         if type(seed) is not int or seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer at $.seed")
@@ -211,7 +223,7 @@ def _validate_target(target: dict) -> dict:
     return dict(target)
 
 
-def _validate_params(params: dict) -> dict:
+def _validate_params(params: dict, experiment: str) -> dict:
     _require_keys(params, "$.params", allowed=set(PARAM_DEFAULTS))
     for key, value in params.items():
         kind = type(PARAM_DEFAULTS[key])  # type(True) is bool, so bools are rejected
@@ -221,4 +233,6 @@ def _validate_params(params: dict) -> dict:
                 raise ConfigurationError(f"$.params.{key} must be a list of {entries}")
         elif not (type(value) in (int, kind) and 0 < value < float("inf")):
             raise ConfigurationError(f"$.params.{key} must be a finite positive {kind.__name__}")
+        if key not in EXPERIMENT_PARAMS[experiment]:
+            raise ConfigurationError(f"{experiment} does not read $.params.{key}")
     return dict(params)

@@ -206,7 +206,6 @@ class FieldModel:
                     and (cov.size == 0 or smallest_eigenvalue(cov) >= -tol)):
                 raise DomainError("coefficient covariance must be finite, symmetric and PSD")
         self._factor: Optional[np.ndarray] = None
-        self._grid_basis: dict[int, list[np.ndarray]] = {}
 
     # -- basis matrices ----------------------------------------------------
 
@@ -245,21 +244,10 @@ class FieldModel:
     def scalar_value(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """Values (N,) for scalar fields without materializing basis tensors."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._contract(coeffs, [basis.evaluate(pts) for _, basis in self.components])
-
-    def circle_grid_values(self, coeffs: np.ndarray, grid_n: int):
-        """(thetas 2 pi i / grid_n, scalar values there); basis values are cached per grid_n."""
-        thetas = np.arange(grid_n) * (2.0 * np.pi / grid_n)
-        if grid_n not in self._grid_basis:
-            pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-            self._grid_basis[grid_n] = [b.evaluate(pts) for _, b in self.components]
-        return thetas, self._contract(coeffs, self._grid_basis[grid_n])
-
-    def _contract(self, coeffs: np.ndarray, basis_vals: list[np.ndarray]) -> np.ndarray:
-        """Scalar values sum_ch (basis values) @ (mix * channel coefficients)."""
-        vals = np.zeros(basis_vals[0].shape[0])
+        vals = np.zeros(pts.shape[0])
         col = 0
-        for (mix, basis), bv in zip(self.components, basis_vals):
+        for mix, basis in self.components:
+            bv = basis.evaluate(pts)
             f = basis.n_funcs
             for ch in range(mix.shape[1]):
                 vals += bv @ (mix[0, ch] * coeffs[col:col + f])

@@ -1,11 +1,10 @@
 """Brute-force validators that avoid the Kac-Rice formulas entirely.
 
-Counts here come from individual realizations: sign-change bisection on the
-circle, the real roots of one resultant polynomial on the sphere, and exact
-segment-pair intersection of polylines under Haar-random rotations.  Circle
-counts carry a resolution audit (doubling the grid must not change it), and
-sphere counts flag a vanishing resultant and roots too close to call, so
-unresolved realizations are observable rather than silent.
+Counts here come from individual realizations: the unit-circle roots of one
+polynomial (the field itself on the circle, a resultant on the sphere), and
+exact segment-pair intersection of polylines under Haar-random rotations.
+Root counts flag a polynomial that vanishes identically and roots too close
+to call, so unresolved realizations are observable rather than silent.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from .errors import DomainError
 from .estimate import Estimate
 from .fields import FieldModel, Realization, sample
 
-BISECT_TOL = 1e-12         # bracket width at which circle-root bisection stops
 TRANSVERSALITY_TOL = 1e-8  # |derivative| below which a circle zero is non-transverse
 MAX_EXCLUDED_FRACTION = 0.05  # flagged-sample share above which an MC estimate is flagged
 CROSSING_MARGIN_TOL = 1e-10   # distance to tangency below which a rotation is resampled
-RESULTANT_VANISH_TOL = 1e-10  # share of Hadamard's bound below which the resultant is 0
-REAL_ROOT_TOL = 1e-9          # |log|w|| below which a resultant root counts as real
+RESULTANT_VANISH_TOL = 1e-10  # share of the scale bound below which a polynomial is 0
+REAL_ROOT_TOL = 1e-9          # |log|w|| below which a root counts as real
 AMBIGUOUS_ROOT_TOL = 1e-6     # |log|w|| or root gap below which a root is too close to call
 
 # Projection centre of the sphere resultant, a generic point: not a coordinate
@@ -48,98 +46,94 @@ class CountSample:
 
 
 # ---------------------------------------------------------------------------
+# Real roots of trigonometric polynomials
+# ---------------------------------------------------------------------------
+
+def _min_separation(angles: np.ndarray) -> float:
+    """Smallest gap between sorted angles around the circle (inf below two)."""
+    if angles.size < 2:
+        return float("inf")
+    return float(np.diff(angles, append=angles[0] + 2.0 * np.pi).min())
+
+
+def _unit_circle_roots(samples: np.ndarray, scale: float):
+    """Zeros of a real trigonometric polynomial p of degree at most D from its
+    values at the 2D + 1 nodes 2 pi j / (2D + 1).
+
+    The Fourier coefficients c_k of the samples make w^d p = sum_k c_k w^(k + d),
+    a polynomial of degree 2d in w = e^{i theta}, and its unit-circle roots are
+    the zeros of p.  Here d is the largest k with |c_k| above
+    RESULTANT_VANISH_TOL * scale (scale bounds the terms that make the
+    samples): smaller top coefficients are rounding noise that would put
+    spurious roots near w = 0 and w = infinity.  Returns (sorted zero angles
+    in [0, 2 pi), reason): the reason is "vanishes identically" when no c_k
+    is above the tolerance, "roots too close to call" when a root lies within
+    AMBIGUOUS_ROOT_TOL of the unit circle without being real or two zeros lie
+    within AMBIGUOUS_ROOT_TOL of each other, and "" otherwise.
+    """
+    D = samples.size // 2
+    fourier = np.fft.fft(samples) / samples.size
+    above = np.flatnonzero(np.abs(fourier[:D + 1]) > RESULTANT_VANISH_TOL * scale)
+    if above.size == 0:
+        return np.zeros(0), "vanishes identically"
+    d = above[-1]
+    roots = np.roots(fourier[np.arange(d, -d - 1, -1)])  # highest power first
+    off_circle = np.abs(np.log(np.abs(roots)))
+    real = off_circle < REAL_ROOT_TOL
+    angles = np.sort(np.mod(np.angle(roots[real]), 2.0 * np.pi))
+    reason = ""
+    if min(off_circle[~real].min(initial=np.inf), _min_separation(angles)) < AMBIGUOUS_ROOT_TOL:
+        reason = "roots too close to call"
+    return angles, reason
+
+
+# ---------------------------------------------------------------------------
 # Zeros of scalar fields on the circle
 # ---------------------------------------------------------------------------
 
-def _bisect_circle(func, groups, tol):
-    """Vectorized bisection of sign-change brackets down to width tol.
+def _circle_roots(realization: Realization, level: float):
+    """Sorted zeros of realization - level on S^1, with diagnostics and the
+    reason they are flagged ("" when they are not).
 
-    ``groups`` lists (lo, hi) bracket arrays; each group stops once its own widest
-    bracket is <= tol, exactly as if bisected alone, and every step makes one call
-    of func on the brackets still running.  Returns (midpoints per group, steps)."""
-    los, his = map(list, zip(*groups))
-    flos = np.split(func(np.concatenate(los)), np.cumsum([lo.size for lo in los])[:-1])
-    steps = 0
-    while steps <= 200:
-        run = [i for i, lo in enumerate(los) if lo.size and np.max(his[i] - lo) > tol]
-        if not run:
-            break
-        mids = [0.5 * (los[i] + his[i]) for i in run]
-        fms = func(np.concatenate(mids))
-        for i, mid in zip(run, mids):
-            fm, fms = fms[:mid.size], fms[mid.size:]
-            left = flos[i] * fm <= 0.0
-            his[i] = np.where(left, mid, his[i])
-            los[i] = np.where(left, los[i], mid)
-            flos[i] = np.where(left, flos[i], fm)
-        steps += 1
-    return [0.5 * (lo + hi) for lo, hi in zip(los, his)], steps
-
-
-def _audited_circle_roots(realization: Realization, grid_n: int, level: float,
-                          closed: bool):
-    """Sorted roots at grid_n, with diagnostics and the reason the grid-doubling
-    audit flags them ("" when it does not)."""
-    if realization.model.output_dim != 1:
+    On the unit circle a scalar field whose monomials have total degree at
+    most D is a trigonometric polynomial of degree D, so 2D + 1 samples fix it.
+    """
+    model = realization.model
+    if model.output_dim != 1:
         raise DomainError("circle zero counting needs a scalar field")
-    node_zeros, brackets = [], []
-    for n in (grid_n, 2 * grid_n):
-        thetas, vals = realization.model.circle_grid_values(realization.coeffs, n)
-        vals -= level
-        node_zeros.append(thetas[np.abs(vals) < 1e-14])
-        lo = thetas[vals * np.roll(vals, -1) < 0.0]
-        brackets.append((lo, lo + 2.0 * np.pi / n))
-    mids, steps = _bisect_circle(lambda t: realization.circle_values(t) - level,
-                                 brackets, BISECT_TOL)
-    found = []
-    for zeros, mid in zip(node_zeros, mids):
-        out = np.sort(np.concatenate([zeros, np.mod(mid, 2.0 * np.pi)]))
-        # Merge duplicates created by node-zeros adjacent to a sign change.
-        if out.size > 1:
-            out = out[np.diff(out, append=out[0] + 2.0 * np.pi) > BISECT_TOL * 10]
-        found.append(out)
-    roots, roots2 = found
-    min_sep = float("inf")
-    if roots.size > 1:
-        min_sep = float(np.diff(roots, append=roots[0] + 2.0 * np.pi).min())
-    reason = ""
-    if roots.size != roots2.size:
-        reason = "count changed under grid doubling"
-    elif roots.size > 1 and min_sep < 2.0 * np.pi / (2 * grid_n):
-        reason = "roots closer than the refined grid resolution"
-    elif closed and roots.size % 2 == 1:
+    D = max(int(basis.exponents.sum(axis=1).max()) for _, basis in model.components)
+    thetas = np.arange(2 * D + 1) * (2.0 * np.pi / (2 * D + 1))
+    # Sum of |mixing weight * monomial scale * coefficient|: a bound on max |f|.
+    weights = np.concatenate([np.kron(mix[0], basis.scales) for mix, basis in model.components])
+    bound = np.abs(weights * realization.coeffs).sum()
+    roots, reason = _unit_circle_roots(realization.circle_values(thetas) - level,
+                                       abs(level) + bound)
+    if not reason and roots.size % 2 == 1:
         reason = "odd zero count on a closed loop"
-    return roots, {"n_bisection_steps": steps, "min_separation": min_sep}, reason
+    return roots, {"min_separation": _min_separation(roots)}, reason
 
 
-def count_zeros_circle(realization: Realization, grid_n: int = 1024, level: float = 0.0,
-                       arc: tuple[float, float] | None = None) -> CountSample:
+def count_zeros_circle(realization: Realization, level: float = 0.0) -> CountSample:
     """Exact count of solutions of X = level for a scalar realization on S^1.
 
-    Sign changes on a uniform grid are refined by bisection; the count is
-    audited by doubling the grid, and samples whose count changes (or whose
-    roots come closer than the refined grid can separate) are flagged.
-    ``arc=(lo, hi)`` restricts the count to an angular window; full-circle
-    counts are additionally audited for evenness (transverse level sets of
-    a closed loop have even cardinality).
+    The zeros are the unit-circle roots of one polynomial (see
+    ``_unit_circle_roots``).  A sample is flagged when X - level vanishes
+    identically, when roots are too close to call, or when the count is odd
+    (transverse level sets of a closed loop have even cardinality).
     """
-    roots, diag, reason = _audited_circle_roots(realization, grid_n, level, closed=arc is None)
-    if arc is not None:
-        lo, hi = arc
-        inside = (np.mod(roots - lo, 2.0 * np.pi)) < (hi - lo)
-        roots = roots[inside]
+    roots, diag, reason = _circle_roots(realization, level)
     return CountSample(count=int(roots.size), seed=realization.seed, diagnostics=diag,
                        flagged=bool(reason), flag_reason=reason)
 
 
-def count_signed_zeros_circle(realization: Realization, grid_n: int = 1024) -> CountSample:
+def count_signed_zeros_circle(realization: Realization) -> CountSample:
     """Sum of derivative signs over the zeros of a scalar realization on S^1.
 
     Transverse zeros on a closed loop alternate in sign, so the result is 0
     for every transverse realization; zeros with |derivative| below the
     transversality tolerance flag the sample instead of contributing.
     """
-    roots, diag, reason = _audited_circle_roots(realization, grid_n, 0.0, closed=True)
+    roots, diag, reason = _circle_roots(realization, 0.0)
     derivs = realization.circle_derivative(roots) if roots.size else np.zeros(0)
     if roots.size and np.abs(derivs).min() < TRANSVERSALITY_TOL:
         reason = "non-transverse zero (derivative below tolerance)"
@@ -175,6 +169,17 @@ def _z_coefficients(r: Realization, d: int, pts: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.vander(z, increasing=True), vals.reshape(-1, d + 1).T).T
 
 
+# What each ``_unit_circle_roots`` reason means for the sphere resultant.
+_RESULTANT_REASONS = {
+    "": "",
+    "vanishes identically":
+        "resultant vanishes identically (a common zero at the centre, or a shared factor)",
+    "roots too close to call":
+        "resultant roots too close to call (a non-transverse intersection, "
+        "or two zeros on one line through the centre)",
+}
+
+
 def count_common_zeros_sphere(r1: Realization, r2: Realization) -> CountSample:
     """Projective count of common zeros of two homogeneous scalar realizations on S^2.
 
@@ -182,13 +187,11 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization) -> CountSample:
     sin phi U2 (U1, U2 orthonormal to C) turns the common zeros into the real
     roots of R(phi) = Res_z(f1(u(phi) + z C), f2(u(phi) + z C)), a
     trigonometric polynomial of degree exactly D = d1 d2.  R is sampled at
-    2D + 1 nodes (Sylvester determinants of the z-coefficients), its
-    Fourier coefficients make a degree-2D polynomial in w = e^{i phi}, and
-    the unit-circle roots of that polynomial are the common zeros, each
-    projective zero twice (phi and phi + pi).  The sample is flagged when R
-    vanishes identically (a common zero at C, or a shared factor), or when
-    a root is too close to the unit circle or to another root to call
-    (a non-transverse intersection, or two zeros on one line through C).
+    2D + 1 nodes (Sylvester determinants of the z-coefficients, scaled by
+    Hadamard's bound on them), and its zeros (``_unit_circle_roots``) are
+    the common zeros, each projective zero twice (phi and phi + pi).  The
+    sample is flagged when R vanishes identically or its roots are too close
+    to call; ``_RESULTANT_REASONS`` says what each means for the sphere.
     """
     d1, d2 = _homogeneous_degree(r1), _homogeneous_degree(r2)
     D = d1 * d2
@@ -200,31 +203,12 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization) -> CountSample:
         sylvester[:, i, i:i + d1 + 1] = a
     for i in range(d1):
         sylvester[:, d2 + i, i:i + d2 + 1] = b
-    fourier = np.fft.fft(np.linalg.det(sylvester)) / phis.size
     hadamard = np.prod(np.linalg.norm(sylvester, axis=2), axis=1).max()
-
-    reason = ""
-    n_real, min_sep = 0, float("inf")
-    if np.abs(fourier).max() <= RESULTANT_VANISH_TOL * hadamard:
-        reason = "resultant vanishes identically (a common zero at the centre, or a shared factor)"
-    else:
-        # w^D R = sum_k c_k w^(k + D), highest power first.
-        roots = np.roots(fourier[np.arange(D, -D - 1, -1)])
-        off_circle = np.abs(np.log(np.abs(roots)))
-        real = off_circle < REAL_ROOT_TOL
-        n_real = int(real.sum())
-        gap = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(roots.size, 1)]
-        if min(off_circle[~real].min(initial=np.inf), gap.min(initial=np.inf)) \
-                < AMBIGUOUS_ROOT_TOL:
-            reason = ("resultant roots too close to call (a non-transverse intersection, "
-                      "or two zeros on one line through the centre)")
-        if n_real > 1:
-            angles = np.sort(np.mod(np.angle(roots[real]), 2.0 * np.pi))
-            min_sep = float(np.diff(angles, append=angles[0] + 2.0 * np.pi).min())
-
-    return CountSample(count=n_real // 2, seed=r1.seed,
-                       diagnostics={"min_separation": min_sep, "sphere_count": n_real},
-                       flagged=bool(reason), flag_reason=reason)
+    angles, reason = _unit_circle_roots(np.linalg.det(sylvester), hadamard)
+    return CountSample(count=angles.size // 2, seed=r1.seed,
+                       diagnostics={"min_separation": _min_separation(angles),
+                                    "sphere_count": int(angles.size)},
+                       flagged=bool(reason), flag_reason=_RESULTANT_REASONS[reason])
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         "experiment": "point_count",
         "model": {"kind": "kostlan", "m": 1, "degree": 16, "k": 1},
         "target": {"kind": "point", "y": [0.0]},
-        "params": {"n_realizations": 150, "grid_n": 512},
+        "params": {"n_realizations": 150},
         "seed": 1212,
         "output": {"path": str(tmp_path / "det.csv"), "format": "csv"},
     }

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from kacrice.cli import main, run, write_records
-from kacrice.config import ExperimentConfig, PARAM_DEFAULTS
+from kacrice.config import EXPERIMENT_PARAMS, ExperimentConfig, PARAM_DEFAULTS
 from kacrice.errors import ConfigurationError
 
 
@@ -20,7 +21,7 @@ def point_count_config(tmp_path, out_name="out.csv", fmt="csv", n=60):
         "experiment": "point_count",
         "model": {"kind": "kostlan", "m": 1, "degree": 9, "k": 1},
         "target": {"kind": "point", "y": [0.0]},
-        "params": {"n_realizations": n, "grid_n": 512},
+        "params": {"n_realizations": n},
         "seed": 123,
         "output": {"path": str(tmp_path / out_name), "format": fmt},
     }
@@ -46,6 +47,13 @@ def test_config_rejects_unknown_key_with_path():
     with pytest.raises(ConfigurationError, match=r"\$\.params\.bogus"):
         ExperimentConfig.from_dict({"experiment": "point_count",
                                     "params": {"bogus": 1}})
+
+
+def test_readme_example_config_validates():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert cfg.experiment == "point_count"
 
 
 def test_config_rejects_bad_model_kind():
@@ -149,11 +157,19 @@ def test_bad_count_params_exit_2(tmp_path, capsys, key, value):
     ("target", {"kind": "half_line", "y": [0.0]}, "$.target.kind"),
     ("target", {"kind": "point", "y": [0.0], "threshold": 0.7}, "$.target.threshold"),
     ("params", {"n_realizations": 60, "n_seeds": 1500}, "$.params.n_seeds"),
+    ("params", {"n_realizations": 5, "n_rotations": 7, "max_segment": 0.5, "R_grid": [1, 2, 3]},
+     "$.params.n_rotations"),
+    ("$", {"experiment": "sphere_count", "model": {"kind": "kostlan", "m": 2, "degrees": [2, 3]},
+           "params": {"n_realizations": 60, "grid_n": 256}}, "$.params.grid_n"),
 ])
 def test_unread_config_values_exit_2(tmp_path, capsys, section, value, path):
-    # No experiment reads these values, so a config that sets them is rejected.
+    # The experiment does not read these values, so a config that sets them
+    # is rejected.  Section "$" replaces top-level keys of the whole config.
     cfg = point_count_config(tmp_path)
-    cfg[section] = value
+    if section == "$":
+        cfg.update(value)
+    else:
+        cfg[section] = value
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert path in err
@@ -163,9 +179,43 @@ def test_unread_config_values_exit_2(tmp_path, capsys, section, value, path):
 KOSTLAN = {"kind": "kostlan", "m": 1, "k": 1}
 CUSTOM = {"kind": "custom_basis", "m": 1, "exponents": [[1, 0], [0, 1]]}
 CURVES = {"kind": "curve_pair", "curve2": {"kind": "great_circle"}}
-# Valid models for the rows that test another section of these experiments.
+# Valid models and params for the rows that test another section of these experiments.
 VALID_MODELS = {"point_count": dict(KOSTLAN, degree=4),
                 "sphere_count": {"kind": "kostlan", "m": 2, "degrees": [2, 3]}}
+VALID_PARAMS = {"point_count": {"n_realizations": 10}, "sphere_count": {"n_realizations": 10},
+                "signed_count": {"n_realizations": 10}, "kinematic": {"n_rotations": 10},
+                "subgaussian": {"R_grid": [1, 2, 3]},
+                "degree_sweep": {"n_realizations": 10, "degree_grid": [1]},
+                "continuity_sweep": {"n_realizations": 10, "epsilon_grid": [0.5]}}
+
+
+# A small config per experiment that sets every param it reads.
+SMALL_CONFIGS = {
+    "point_count": {"model": dict(KOSTLAN, degree=2), "target": {"kind": "point", "y": [0.0]},
+                    "params": {"n_realizations": 5}},
+    "sphere_count": {"model": {"kind": "kostlan", "m": 2, "degrees": [1, 2]},
+                     "params": {"n_realizations": 5}},
+    "signed_count": {"model": dict(KOSTLAN, degree=3),
+                     "params": {"n_realizations": 5, "n_samples": 200, "region_nodes": 4}},
+    "kinematic": {"target": dict(CURVES, curve1={"kind": "latitude"}),
+                  "params": {"n_rotations": 3, "max_segment": 1e-2}},
+    "continuity_sweep": {"params": {"n_realizations": 5, "epsilon_grid": [0.5]}},
+    "degree_sweep": {"params": {"n_realizations": 5, "degree_grid": [1]}},
+    "subgaussian": {"target": {"kind": "exp_growth"}, "params": {"R_grid": [1.0, 2.0, 3.0]}},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_PARAMS))
+def test_experiment_params_lists_what_each_runner_reads(monkeypatch, experiment):
+    # config.EXPERIMENT_PARAMS decides which params a config may set; it must
+    # name exactly the params the experiment's runner asks for.
+    read = set()
+    param = ExperimentConfig.param
+    monkeypatch.setattr(ExperimentConfig, "param",
+                        lambda self, name: read.add(name) or param(self, name))
+    run(ExperimentConfig.from_dict(dict(SMALL_CONFIGS.get(experiment, {}),
+                                        experiment=experiment)))
+    assert read == EXPERIMENT_PARAMS[experiment]
 
 
 @pytest.mark.parametrize("experiment, section, value, path", [
@@ -211,8 +261,7 @@ VALID_MODELS = {"point_count": dict(KOSTLAN, degree=4),
 def test_bad_model_target_and_grid_values_exit_2(tmp_path, capsys, experiment, section,
                                                  value, path):
     cfg = {"experiment": experiment, "model": VALID_MODELS.get(experiment, {}), section: value,
-           "params": {"n_realizations": 10, "n_rotations": 10, "R_grid": [1, 2, 3],
-                      "degree_grid": [1], "epsilon_grid": [0.5]},
+           "params": VALID_PARAMS[experiment],
            "output": {"path": str(tmp_path / "out.csv"), "format": "csv"}}
     if section == "params":
         cfg["params"] = dict(cfg["params"], **value)
@@ -290,7 +339,7 @@ def test_degree_sweep_formula_column(tmp_path):
     cfg = {
         "experiment": "degree_sweep",
         "model": {"kind": "kostlan", "m": 1, "degree": 1, "k": 1},
-        "params": {"degree_grid": [1, 4, 9, 16, 25], "n_realizations": 20, "grid_n": 512},
+        "params": {"degree_grid": [1, 4, 9, 16, 25], "n_realizations": 20},
         "seed": 3,
         "output": {"path": str(tmp_path / "sweep.csv"), "format": "csv"},
     }
@@ -311,8 +360,7 @@ def test_continuity_sweep_monotone(tmp_path):
         "experiment": "continuity_sweep",
         "model": {"kind": "mixed_kostlan", "m": 1, "coeff_mats": [[[1.0]]],
                   "degrees": [4, 9]},
-        "params": {"epsilon_grid": [0.0, 0.3, 0.7, 1.0], "n_realizations": 15,
-                   "grid_n": 512},
+        "params": {"epsilon_grid": [0.0, 0.3, 0.7, 1.0], "n_realizations": 15},
         "seed": 5,
         "output": {"path": str(tmp_path / "cont.csv"), "format": "csv"},
     }
@@ -323,6 +371,21 @@ def test_continuity_sweep_monotone(tmp_path):
     assert formulas[0] == pytest.approx(4.0)
     assert formulas[-1] == pytest.approx(6.0)
     assert all(a < b for a, b in zip(formulas, formulas[1:]))
+
+
+def test_continuity_sweep_counts_a_field_below_its_top_degree(tmp_path):
+    # At epsilon 0 the degree-6 block has weight 0, so the field is a
+    # trigonometric polynomial of degree 4 in a degree-6 model.
+    cfg = {
+        "experiment": "continuity_sweep",
+        "model": {"kind": "mixed_kostlan", "m": 1, "coeff_mats": [[[1.0]]], "degrees": [4, 6]},
+        "params": {"epsilon_grid": [0.0], "n_realizations": 20},
+        "seed": 5,
+        "output": {"path": str(tmp_path / "cont.csv"), "format": "csv"},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    row = (tmp_path / "cont.csv").read_text().splitlines()[1].split(",")
+    assert int(row[6]) == 20
 
 
 def test_subgaussian_experiment(tmp_path):
@@ -342,7 +405,7 @@ def test_subgaussian_experiment(tmp_path):
 def test_single_point_grid_single_record(tmp_path):
     cfg = {
         "experiment": "degree_sweep",
-        "params": {"degree_grid": [4], "n_realizations": 10, "grid_n": 512},
+        "params": {"degree_grid": [4], "n_realizations": 10},
         "seed": 2,
         "output": {"path": str(tmp_path / "one.csv"), "format": "csv"},
     }
@@ -359,7 +422,7 @@ def test_signed_count_with_custom_basis_model(tmp_path):
         "model": {"kind": "custom_basis", "m": 1,
                   "exponents": [[0, 0], [1, 0], [0, 1]],
                   "coeff_cov": [[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]},
-        "params": {"n_realizations": 40, "grid_n": 512, "n_samples": 2000},
+        "params": {"n_realizations": 40, "n_samples": 2000},
         "seed": 8,
         "output": {"path": str(tmp_path / "signed.csv"), "format": "csv"},
     }

@@ -95,26 +95,6 @@ def test_basis_matches_exponent_loop_bitwise(n_vars, degree, n_pts, seed):
     assert np.array_equal(got_vals, vals) and np.array_equal(got_grads, grads)
 
 
-def test_circle_grid_values_cached_and_bitwise(monkeypatch):
-    models = [kostlan_model(1, 25), isotropic_model([np.eye(1), 0.5 * np.eye(1)])]
-    for model in models:
-        for grid_n in (7, 1024, 2048):
-            r = sample(model, grid_n)
-            thetas, vals = model.circle_grid_values(r.coeffs, grid_n)
-            assert np.array_equal(thetas, np.arange(grid_n) * (2.0 * np.pi / grid_n))
-            assert np.array_equal(vals, r.circle_values(thetas))
-    calls = []
-    evaluate = MonomialBasis.evaluate
-    monkeypatch.setattr(MonomialBasis, "evaluate",
-                        lambda b, pts: calls.append(len(pts)) or evaluate(b, pts))
-    for model in models:
-        for s in range(3):
-            model.circle_grid_values(sample(model, s).coeffs, 1024)
-            model.circle_grid_values(sample(model, s).coeffs, 512)
-    # One build per (model, new grid size): 512 is new, 1024 was cached above.
-    assert calls == [512, 512, 512]
-
-
 # ---------------------------------------------------------------------------
 # Kernels
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from scipy.spatial import cKDTree
 from kacrice import curves, oracle
 from kacrice.errors import DomainError
 from kacrice.fields import (
-    FieldModel,
     Realization,
     circle_domain,
     custom_monomial_model,
@@ -53,6 +54,130 @@ def test_count_constant_field():
     assert count_zeros_circle(constant_realization()).count == 0
 
 
+def test_count_flags_field_equal_to_its_level():
+    cs = count_zeros_circle(constant_realization(0.7), level=0.7)
+    assert cs.flagged
+    assert "vanishes" in cs.flag_reason
+
+
+@pytest.mark.parametrize("exponents, coeffs, count", [
+    # x^2 + y^2 + 0.3 x + 0.2 y - 1 is 0.3 cos + 0.2 sin on the circle: its
+    # degree-2 Fourier pair is rounding noise, not two roots near 0 and infinity.
+    ([[2, 0], [0, 2], [1, 0], [0, 1], [0, 0]], [1.0, 1.0, 0.3, 0.2, -1.0], 2),
+    # (x - 2)^2 > 0 on the circle; its double root sits at w = 2 - sqrt(3).
+    ([[2, 0], [1, 0], [0, 0]], [1.0, -4.0, 4.0], 0),
+])
+def test_count_ignores_roots_off_the_circle(exponents, coeffs, count):
+    model = custom_monomial_model(circle_domain(), exponents, np.eye(len(exponents)))
+    cs = count_zeros_circle(Realization(model, np.array(coeffs), seed=0))
+    assert cs.count == count
+    assert not cs.flagged
+
+
+def test_count_zero_weight_top_blocks_without_warnings():
+    # Degree-1..3 blocks of weight 0 leave a constant: its top Fourier
+    # coefficients are exactly 0, which must not become roots at w = 0.
+    model = isotropic_model([np.eye(1)] + [np.zeros((1, 1))] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in range(5):
+            cs = count_zeros_circle(sample(model, s))
+            assert cs.count == 0
+            assert not cs.flagged
+
+
+def test_count_resolves_a_close_pair_at_a_pinned_seed():
+    # Two of the six roots lie 0.0070 apart: sign changes on grids of 256 and
+    # 512 nodes miss both, and an exact Sturm count also gives 6.
+    cs = count_zeros_circle(sample(kostlan_model(1, 9), 17224584885885320147), level=0.8)
+    assert cs.count == 6
+    assert not cs.flagged
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _poly_rem(a, b):
+    """Remainder of a divided by b (coefficient lists, lowest degree first)."""
+    a = list(a)
+    while len(a) >= len(b):
+        q, shift = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a = _poly_trim(a[:-1])
+    return a
+
+
+def exact_circle_count(realization, level) -> int:
+    """Distinct zeros of realization - level on S^1, in exact rational arithmetic.
+
+    With t = tan(theta / 2), (1 + t^2)^D (f(cos, sin) - level) is a polynomial
+    P(t) of degree at most 2D, whose distinct real roots Sturm's theorem
+    counts.  Its t^(2D) coefficient is f(-1, 0) - level, so theta = pi
+    (t = infinity) is a zero exactly when P has degree below 2D.
+    """
+    model = realization.model
+    D = max(int(b.exponents.sum(axis=1).max()) for _, b in model.components)
+    one_plus, one_minus, two_t = [1, 0, 1], [1, 0, -1], [0, 2]
+    P = [Fraction(0)] * (2 * D + 1)
+    terms = [(-Fraction(level), 0, 0)]
+    col = 0
+    for mix, basis in model.components:
+        for ch in range(mix.shape[1]):
+            for e, scale in zip(basis.exponents, basis.scales):
+                c = Fraction(mix[0, ch]) * Fraction(scale) * Fraction(realization.coeffs[col])
+                terms.append((c, int(e[0]), int(e[1])))
+                col += 1
+    for c, a, b in terms:
+        term = [c]
+        for factor, power in ((one_minus, a), (two_t, b), (one_plus, D - a - b)):
+            for _ in range(power):
+                term = _poly_mul(term, factor)
+        for i, x in enumerate(term):
+            P[i] += x
+    at_pi = int(P[-1] == 0)
+    P = _poly_trim(P)
+    sturm = [P, _poly_trim([i * x for i, x in enumerate(P)][1:])]
+    while sturm[-1]:
+        sturm.append([-x for x in _poly_rem(sturm[-2], sturm[-1])])
+    sturm = sturm[:-1]
+
+    def sign_changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_plus = [1 if p[-1] > 0 else -1 for p in sturm]
+    at_minus = [s * (-1) ** (len(p) - 1) for s, p in zip(at_plus, sturm)]
+    return sign_changes(at_minus) - sign_changes(at_plus) + at_pi
+
+
+# Kostlan degrees 0-5, the mixed field with kernel 1 + <x, y>, and a mixed
+# field whose degree-4 block has weight 0 (trigonometric degree 2, not 4).
+LOW_DEGREE_MODELS = [kostlan_model(1, d) for d in range(6)] + [
+    isotropic_model([np.eye(1), np.eye(1)]),
+    isotropic_model([np.zeros((1, 1))] * 2 + [np.eye(1)] + [np.zeros((1, 1))] * 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(LOW_DEGREE_MODELS), seed=st.integers(0, 2**32 - 1),
+       level=st.floats(-1.5, 1.5))
+def test_unflagged_counts_equal_exact_sturm_counts(model, seed, level):
+    r = sample(model, seed)
+    cs = count_zeros_circle(r, level=level)
+    if not cs.flagged:
+        assert cs.count == exact_circle_count(r, level)
+
+
 def test_count_rejects_vector_field():
     with pytest.raises(DomainError):
         count_zeros_circle(sample(kostlan_model(1, 3, k=2), 0))
@@ -66,15 +191,6 @@ def test_counts_are_even_on_circle():
             assert cs.count % 2 == 0
 
 
-def test_count_resolution_stability():
-    model = kostlan_model(1, 25)
-    for s in range(30):
-        a = count_zeros_circle(sample(model, s), grid_n=1024)
-        b = count_zeros_circle(sample(model, s), grid_n=2048)
-        if not (a.flagged or b.flagged):
-            assert a.count == b.count
-
-
 def test_count_level_shift():
     # sin(5 theta) = 0.5 also has 10 solutions
     cs = count_zeros_circle(harmonic_realization(), level=0.5)
@@ -82,43 +198,10 @@ def test_count_level_shift():
     assert count_zeros_circle(constant_realization(1.0), level=2.0).count == 0
 
 
-def test_count_arc_restriction():
-    cs = count_zeros_circle(harmonic_realization(), arc=(0.0, np.pi))
-    assert cs.count == 5
-
-
-def test_signed_count_alternates_to_zero(monkeypatch):
-    grids, bisections = [], []
-    grid_values = FieldModel.circle_grid_values
-    monkeypatch.setattr(FieldModel, "circle_grid_values",
-                        lambda m, c, grid_n: grids.append(grid_n) or grid_values(m, c, grid_n))
-    bisect = oracle._bisect_circle
-    monkeypatch.setattr(oracle, "_bisect_circle",
-                        lambda f, groups, tol: bisections.append(len(groups))
-                        or bisect(f, groups, tol))
-    cs = count_signed_zeros_circle(harmonic_realization(), grid_n=256)
+def test_signed_count_alternates_to_zero():
+    cs = count_signed_zeros_circle(harmonic_realization())
     assert cs.count == 0
     assert cs.diagnostics["n_roots"] == 10
-    assert sorted(grids) == [256, 512]  # one pass plus its grid-doubling audit
-    assert bisections == [2]  # one bisection serves both grids
-
-
-def test_grouped_bisection_equals_separate_calls():
-    model = kostlan_model(1, 25)
-    for s in range(5):
-        r = sample(model, s)
-        groups = []
-        for n in (64, 1024, 2048):
-            thetas = np.arange(n) * (2.0 * np.pi / n)
-            vals = r.circle_values(thetas)
-            lo = thetas[vals * np.roll(vals, -1) < 0.0]
-            groups.append((lo, lo + 2.0 * np.pi / n))
-        groups.append((np.zeros(0), np.zeros(0)))
-        mids, steps = oracle._bisect_circle(r.circle_values, groups, 1e-12)
-        alone = [oracle._bisect_circle(r.circle_values, [g], 1e-12) for g in groups]
-        for mid, ((mid_alone,), _) in zip(mids, alone):
-            assert np.array_equal(mid, mid_alone)
-        assert steps == max(steps_alone for _, steps_alone in alone)
 
 
 def test_signed_count_kostlan_samples():
@@ -130,11 +213,11 @@ def test_signed_count_kostlan_samples():
 
 
 def test_signed_count_flags_tangency():
-    # (1 - cos(theta)) touches zero without crossing: flagged, not thrown.
+    # (1 - cos(theta)) touches zero without crossing: both counters flag it.
     model = custom_monomial_model(circle_domain(), [[0, 0], [1, 0]], np.eye(2))
     grazing = Realization(model, np.array([1.0, -1.0]), seed=0)
-    cs = count_signed_zeros_circle(grazing)
-    assert cs.flagged
+    assert count_signed_zeros_circle(grazing).flagged
+    assert count_zeros_circle(grazing).flagged
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +356,6 @@ def test_mc_flags_when_too_many_samples_unresolved():
     assert est.flagged
     assert est.n < 200
     assert est.value == 2.0
-
-
-def test_mc_rotation_invariance_of_arc_counts():
-    # isotropic field: expected counts on an arc and on a rotated arc agree
-    import functools
-    model = kostlan_model(1, 9)
-    arc1 = functools.partial(count_zeros_circle, arc=(0.0, np.pi))
-    arc2 = functools.partial(count_zeros_circle, arc=(1.3, 1.3 + np.pi))
-    a = mc_expected_count(model, arc1, 600, seed=11)
-    b = mc_expected_count(model, arc2, 600, seed=12)
-    se = math.hypot(a.std_error, b.std_error)
-    assert abs(a.value - b.value) < 3.0 * se
 
 
 # ---------------------------------------------------------------------------
