@@ -108,7 +108,7 @@ def _model_sigmas(spec: dict):
     if spec["kind"] == "mixed_kostlan":
         return isotropic_sigmas([np.atleast_2d(np.asarray(a, float))
                                  for a in spec["coeff_mats"]])
-    raise ConfigurationError("formula side needs an isotropic (kostlan/mixed) model")
+    raise ConfigurationError("formula side needs a kostlan or mixed_kostlan model at $.model.kind")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import DegenerateModelError, DomainError
 
 EIG_FLOOR = 1e-12  # non-degeneracy threshold for covariance blocks
 COV_TOL = 1e-10    # relative symmetry and PSD tolerance of a coefficient covariance
+FACTOR_TOL = 1e-8  # largest relative entry of F F^T - cov that a factor may leave
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +329,7 @@ class JetCovariance:
         covariance C = K1 - K01^T K0^{-1} K01 does not depend on y.  When the
         cross block is negligible (isotropic models) A is None and C is K1.
         """
-        if smallest_eigenvalue(self.K0) <= EIG_FLOOR:
-            raise DegenerateModelError("K0 is numerically singular at the base point")
+        require_nonsingular(self.K0, "K0 at the base point")
         scale = max(np.abs(self.K0).max(), np.abs(self.K1).max(), 1.0)
         if np.abs(self.K01).max() <= 1e-12 * scale:
             return None, self.K1
@@ -341,11 +341,17 @@ def smallest_eigenvalue(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
 
 
+def require_nonsingular(mat: np.ndarray, what: str) -> None:
+    if smallest_eigenvalue(mat) <= EIG_FLOOR:
+        raise DegenerateModelError(f"{what} is numerically singular")
+
+
 def pivoted_cholesky(cov: np.ndarray) -> np.ndarray:
     """A factor F with F F^T = cov for symmetric PSD cov (rank-revealing).
 
     Uses LAPACK's pivoted Cholesky and clamps the numerically-semidefinite
     trailing block to zero, so degenerate test covariances work unchanged.
+    A cov that F F^T misses by over FACTOR_TOL (relative) raises DegenerateModelError.
     """
     a = np.asarray(cov, dtype=float)
     n = a.shape[0]
@@ -354,8 +360,10 @@ def pivoted_cholesky(cov: np.ndarray) -> np.ndarray:
     c, piv, rank, _ = lapack.dpstrf(a, lower=1)
     c = np.tril(c)
     c[:, rank:] = 0.0
-    perm = np.argsort(piv - 1)
-    return c[perm]
+    f = c[np.argsort(piv - 1)]
+    if not np.abs(f @ f.T - a).max() <= FACTOR_TOL * np.abs(a).max():
+        raise DegenerateModelError("covariance is not positive semidefinite")
+    return f
 
 
 def jet_covariance(model: FieldModel, p: np.ndarray,
@@ -475,12 +483,6 @@ def sample(model: FieldModel, seed) -> Realization:
 # Gaussian regression and conditioning
 # ---------------------------------------------------------------------------
 
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if smallest_eigenvalue(mat) <= EIG_FLOOR:
-        raise DegenerateModelError("covariance block is numerically singular")
-    return np.linalg.solve(mat, rhs)
-
-
 def regression_matrix(model: FieldModel, u: np.ndarray, p: np.ndarray) -> np.ndarray:
     """A(u, p) = K(u, p) K(p, p)^{-1}: the Gaussian regression of X(u) on X(p).
 
@@ -488,7 +490,8 @@ def regression_matrix(model: FieldModel, u: np.ndarray, p: np.ndarray) -> np.nda
     """
     kup = model.kernel(u, p)
     kpp = model.kernel(p, p)
-    return _spd_solve(kpp, kup.T).T
+    require_nonsingular(kpp, "K(p, p)")
+    return np.linalg.solve(kpp, kup.T).T
 
 
 class ConditionedField:
@@ -507,8 +510,7 @@ class ConditionedField:
             raise DomainError("conditioning value has the wrong dimension")
         self.q = q
         self.kpp = model.kernel(p, p)
-        if smallest_eigenvalue(self.kpp) <= EIG_FLOOR:
-            raise DegenerateModelError("K(p, p) is numerically singular")
+        require_nonsingular(self.kpp, "K(p, p)")
         # K(u, p) = phi(u) @ _cov_phi_p: the regression term, (n_coeffs, k).
         self._cov_phi_p = model.coeff_cov @ model.phi(self.p[None, :])[0].T
         self._kpp_inv_q = np.linalg.solve(self.kpp, q)

@@ -4,11 +4,13 @@ The general evaluator ``density_point`` computes the density of the expected
 counting measure of {p : X(p) in W} at a base point p:
 
     rho(p) = ∫_W  E{ alpha * |det(nu(y)^T d_pX)|  |  X(p) = y }
-             * gaussian_density(y; K0)  dW(y)
+             * phi_{K0}(y)  dW(y)
 
 by fiber cubature over W and Monte Carlo over the conditional jet law
 (Gaussian regression; for isotropic fields the value and the derivative are
-independent and the conditioning drops).  ``expected_count`` integrates it
+independent and the conditioning drops).  K0 = Cov X(p) is checked once per
+base point, and phi_{K0} of every fiber node is computed before the jet loop
+projects the jets onto each node's normals.  ``expected_count`` integrates it
 over a region of the base manifold.  Closed forms for isotropic fields on
 spheres (point counts, Shub-Smale, mixed Kostlan) are exact and carry zero
 standard error.  Everything is deterministic given a seed.
@@ -22,15 +24,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateModelError, DomainError
+from .errors import ConfigurationError, DomainError
 from .estimate import Estimate
 from .fields import (
-    EIG_FLOOR,
     FieldModel,
     isotropic_sigmas,
     jet_covariance,
     pivoted_cholesky,
-    smallest_eigenvalue,
+    require_nonsingular,
 )
 from .level_sets import LevelSetW, unit_ball_volume
 from .linalg import sine_angle_lines
@@ -47,16 +48,15 @@ KINEMATIC_FRAME_NODES = 256
 # Weights
 # ---------------------------------------------------------------------------
 
-# A per-solution weight alpha evaluated on the jet at the base point:
-# weight(dx, projected, y, p) receives the sampled derivative matrices dx
-# (n, k, m), their normal projections nu(y)^T dx (n, m, m), the fiber node y
-# and the base point p, and returns (n,) weights.  The unit weight
-# reproduces the plain count bit-for-bit.
-WeightFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# A per-solution weight alpha on the jet at the base point: weight(proj, y, p)
+# maps the normal projections nu(y)^T d_pX (n, m, m) of the sampled jets, the
+# fiber node y and the base point p to (n,) weights; proj is overwritten at
+# the next node.  The unit weight reproduces the plain count bit-for-bit.
+WeightFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def unit_weight() -> WeightFn:
-    return lambda dx, proj, y, p: np.ones(dx.shape[0])
+    return lambda proj, y, p: np.ones(proj.shape[0])
 
 
 def sign_weight() -> WeightFn:
@@ -65,24 +65,12 @@ def sign_weight() -> WeightFn:
     Ties (vanishing determinant) get weight 0, so transversality failures
     contribute nothing instead of crashing the estimator.
     """
-    return lambda dx, proj, y, p: np.sign(np.linalg.det(proj))
+    return lambda proj, y, p: np.sign(np.linalg.det(proj))
 
 
 # ---------------------------------------------------------------------------
-# Gaussian density and closed forms
+# Closed forms
 # ---------------------------------------------------------------------------
-
-def gaussian_density(y: np.ndarray, cov: np.ndarray) -> float:
-    """Standard centered Gaussian density on R^k at y."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    k = y.size
-    if smallest_eigenvalue(cov) <= EIG_FLOOR:
-        raise DegenerateModelError("Gaussian density requires an SPD covariance")
-    quad = float(y @ np.linalg.solve(cov, y))
-    det = float(np.linalg.det(cov))
-    return math.exp(-0.5 * quad) / ((2.0 * math.pi) ** (k / 2.0) * math.sqrt(det))
-
 
 def isotropic_point_count(sigma0, sigma1, y) -> float:
     """E #X^{-1}(y) for an isotropic field on S^m with jet (Sigma_0, Sigma_1):
@@ -94,8 +82,7 @@ def isotropic_point_count(sigma0, sigma1, y) -> float:
     s0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
     s1 = np.atleast_2d(np.asarray(sigma1, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if smallest_eigenvalue(s0) <= EIG_FLOOR:
-        raise DegenerateModelError("Sigma_0 must be positive definite")
+    require_nonsingular(s0, "Sigma_0")
     # det(Sigma_0^{-1} Sigma_1): scale invariant, so rescaling the field
     # (Sigma_i -> c^2 Sigma_i) leaves the count at y = 0 exactly unchanged.
     ratio = float(np.linalg.det(np.linalg.solve(s0, s1)))
@@ -152,8 +139,7 @@ def isotropic_sphere_count(sigma0, sigma1, W: LevelSetW, m: int,
     """
     s0 = np.atleast_2d(np.asarray(sigma0, dtype=float))
     s1 = np.atleast_2d(np.asarray(sigma1, dtype=float))
-    if smallest_eigenvalue(s0) <= EIG_FLOOR:
-        raise DegenerateModelError("Sigma_0 must be positive definite")
+    require_nonsingular(s0, "Sigma_0")
     if W.codim != m:
         raise DomainError("the target codimension must equal the sphere dimension")
     k = W.ambient_dim
@@ -191,13 +177,14 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
     m = model.domain.m
     if W.codim != m:
         raise DomainError("target codimension must equal the base dimension")
-    wfn = unit_weight() if weight is None else weight
     p = np.asarray(p, dtype=float)
     k = model.output_dim
 
     # The conditional covariance of the jet given X(p) = y does not depend on
     # y, so one factor serves every fiber node; only the mean a @ y shifts.
-    # For isotropic models (zero cross block) a is None and the conditioning drops.
+    # For isotropic models (zero cross block) a is None and the conditioning
+    # drops.  conditional() also rejects a numerically singular K0, so K0 is
+    # checked once here and its determinant serves every node's density.
     jc = jet_covariance(model, p, tangent_frame)
     a, cov = jc.conditional()
     factor = pivoted_cholesky(cov)
@@ -209,22 +196,33 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
     if nodes.shape[0] == 0:
         raise ConfigurationError("no usable fiber nodes on the target")
 
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, factor.shape[0]))
-    base = z @ factor.T  # (n, mk), direction-major
+    # phi_{K0}(y) of each node, with each node solved as its own right-hand
+    # side: one solve with all nodes as columns rounds differently.
+    sol = np.linalg.solve(np.broadcast_to(jc.K0, (len(nodes), k, k)), nodes[:, :, None])[:, :, 0]
+    dens = np.array([math.exp(-0.5 * float(y @ s)) for y, s in zip(nodes, sol)])
+    norm = (2.0 * math.pi) ** (k / 2.0) * math.sqrt(float(np.linalg.det(jc.K0)))
+    node_wts = wts * (dens / norm)
+
+    z = np.random.default_rng(seed).standard_normal((n_samples, factor.shape[0]))
+    cols = np.ascontiguousarray((z @ factor.T).T)  # (mk, n): row l k + i is d_l X_i
+    del z
 
     per_sample = np.zeros(n_samples)
-    node_means = np.zeros(nodes.shape[0])
-    for j in range(nodes.shape[0]):
-        jets = base if a is None else base + a @ nodes[j]
-        dx = jets.reshape(n_samples, m, k).transpose(0, 2, 1)  # (n, k, m)
-        proj = np.einsum("km,nkl->nml", nus[j], dx)
-        dets = np.linalg.det(proj) if m > 1 else proj[:, 0, 0]
-        alpha = wfn(dx, proj, nodes[j], p)
-        dens = gaussian_density(nodes[j], jc.K0)
-        contrib = wts[j] * dens * alpha * np.abs(dets)
+    node_means = np.zeros(len(nodes))
+    jacs = np.empty((n_samples, m, m))  # nu(y)^T d_pX, one (m, m) matrix per jet
+    for j, y in enumerate(nodes):
+        jets = cols if a is None else cols + (a @ y)[:, None]
+        nu = nus[j]
+        # jacs[:, r, l] = sum_i nu[i, r] * jets[l k + i], accumulated in i order.
+        for r, l in np.ndindex(m, m):
+            out = np.multiply(nu[0, r], jets[l * k], out=jacs[:, r, l])
+            for i in range(1, k):
+                out += nu[i, r] * jets[l * k + i]
+        dets = jacs[:, 0, 0] if m == 1 else np.linalg.det(jacs)
+        alpha = node_wts[j] if weight is None else node_wts[j] * weight(jacs, y, p)
+        contrib = alpha * np.abs(dets)
         per_sample += contrib
-        node_means[j] = float(np.mean(np.abs(contrib)))
+        node_means[j] = np.abs(contrib).sum() / n_samples
 
     value = float(per_sample.mean())
     se = float(per_sample.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
@@ -232,12 +230,10 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
     # Tail audit for truncated non-compact targets: flag if the outermost
     # tenth of the fiber nodes still carries a visible share of the mass.
     # Targets whose nodes all sit at one radius (circles) have no tail.
-    flagged = False
-    reason = ""
+    flagged, reason = False, ""
     radii = np.linalg.norm(nodes, axis=1)
     if nodes.shape[0] >= 16 and np.ptp(radii) > 1e-9 * radii.max():
-        order = np.argsort(radii)
-        mass = node_means[order]
+        mass = node_means[np.argsort(radii)]
         total = mass.sum()
         tail = mass[int(0.9 * mass.size):].sum()
         if total > 0 and tail > 1e-3 * total:

@@ -182,6 +182,7 @@ CURVES = {"kind": "curve_pair", "curve2": {"kind": "great_circle"}}
 # Valid models and params for the rows that test another section of these experiments.
 VALID_MODELS = {"point_count": dict(KOSTLAN, degree=4),
                 "sphere_count": {"kind": "kostlan", "m": 2, "degrees": [2, 3]}}
+VALID_TARGETS = {"point_count": {"kind": "point", "y": [0.0]}}
 VALID_PARAMS = {"point_count": {"n_realizations": 10}, "sphere_count": {"n_realizations": 10},
                 "signed_count": {"n_realizations": 10}, "kinematic": {"n_rotations": 10},
                 "subgaussian": {"R_grid": [1, 2, 3]},
@@ -257,10 +258,12 @@ def test_experiment_params_lists_what_each_runner_reads(monkeypatch, experiment)
     ("kinematic", "target", {"kind": "curve_pair", "curve1": {"kind": "latitude"},
                              "curve2": {"kind": "great_circle", "rho": 0.5}},
      "$.target.curve2.rho"),
+    ("point_count", "model", dict(CUSTOM, coeff_cov=[[1.0, 0.0], [0.0, 1.0]]), "$.model.kind"),
 ])
 def test_bad_model_target_and_grid_values_exit_2(tmp_path, capsys, experiment, section,
                                                  value, path):
-    cfg = {"experiment": experiment, "model": VALID_MODELS.get(experiment, {}), section: value,
+    cfg = {"experiment": experiment, "model": VALID_MODELS.get(experiment, {}),
+           "target": VALID_TARGETS.get(experiment, {}), section: value,
            "params": VALID_PARAMS[experiment],
            "output": {"path": str(tmp_path / "out.csv"), "format": "csv"}}
     if section == "params":
@@ -289,6 +292,31 @@ def test_sphere_count_record_is_pinned(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
     assert (tmp_path / "sphere.csv").read_bytes() == SPHERE_COUNT_RECORD
 
+
+# A scalar circle model with correlated coefficients: its value and derivative
+# are correlated, so the formula side conditions the jet on the value.
+CORRELATED_CUSTOM = {"kind": "custom_basis", "m": 1, "exponents": [[0, 0], [1, 0], [0, 1]],
+                     "coeff_cov": [[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+# signed_count runs the density_point fiber loop: 40 realizations, 2000 jets
+# and 8 region nodes each.
+SIGNED_COUNT_RECORDS = {
+    "kostlan": (dict(KOSTLAN, degree=7), 707,
+                b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+                b"signed_count,7.0,-0.015228283810412345,0.0,0.0,0.2908447844033486,40,707\n"),
+    "custom_basis": (CORRELATED_CUSTOM, 8,
+                     b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+                     b"signed_count,0.0,0.007274384619366192,0.0,0.0,0.5155116544262263,40,8\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_COUNT_RECORDS))
+def test_signed_count_record_is_pinned(tmp_path, name):
+    model, seed, record = SIGNED_COUNT_RECORDS[name]
+    cfg = {"experiment": "signed_count", "model": model,
+           "params": {"n_realizations": 40, "n_samples": 2000, "region_nodes": 8},
+           "seed": seed, "output": {"path": str(tmp_path / "signed.csv"), "format": "csv"}}
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "signed.csv").read_bytes() == record
 
 
 # Latitude rho 1.0 against a great circle: 80 rotations, seed 101, max_segment 1e-3.
@@ -419,9 +447,7 @@ def test_signed_count_with_custom_basis_model(tmp_path):
     # covariance) are accepted wherever a scalar circle model is needed
     cfg = {
         "experiment": "signed_count",
-        "model": {"kind": "custom_basis", "m": 1,
-                  "exponents": [[0, 0], [1, 0], [0, 1]],
-                  "coeff_cov": [[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        "model": CORRELATED_CUSTOM,
         "params": {"n_realizations": 40, "n_samples": 2000},
         "seed": 8,
         "output": {"path": str(tmp_path / "signed.csv"), "format": "csv"},

@@ -278,6 +278,18 @@ def test_pivoted_cholesky_handles_singular_psd(rng):
         assert np.abs(f @ f.T - cov).max() < 1e-10
 
 
+@pytest.mark.parametrize("cov", [
+    np.diag([1.0, -1.0]),
+    [[1.0, 2.0], [2.0, 1.0]],         # eigenvalues 3 and -1
+    np.diag([4.0, 1.0, -1e-6]),
+    [[1.0, 0.5], [0.0, 1.0]],         # not symmetric
+    [[1.0, np.nan], [np.nan, 1.0]],
+])
+def test_pivoted_cholesky_rejects_what_it_cannot_factor(cov):
+    with pytest.raises(DegenerateModelError):
+        pivoted_cholesky(np.asarray(cov, dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # Regression and conditioning
 # ---------------------------------------------------------------------------

@@ -5,7 +5,16 @@ import pytest
 
 from kacrice import curves
 from kacrice.errors import ConfigurationError, DegenerateModelError, DomainError
-from kacrice.fields import isotropic_model, kostlan_model
+from kacrice.fields import (
+    EIG_FLOOR,
+    circle_domain,
+    custom_monomial_model,
+    isotropic_model,
+    jet_covariance,
+    kostlan_model,
+    pivoted_cholesky,
+    smallest_eigenvalue,
+)
 from kacrice.formulas import (
     density_point,
     expected_count,
@@ -168,6 +177,79 @@ def test_density_point_flags_undecayed_tail():
         assert short.flagged
         assert not long.flagged
         assert not compact.flagged
+
+
+def _loop_density_point(model, W, p, n_samples, fiber_nodes, signed, seed):
+    """density_point as a loop over fiber nodes that redoes the K0 work at
+    every node: a per-node einsum projection, a per-node Gaussian density
+    with its own eigenvalue check, solve and determinant, and an explicit
+    all-ones unit weight."""
+    def gaussian_density(y, cov):
+        if smallest_eigenvalue(cov) <= EIG_FLOOR:
+            raise DegenerateModelError("Gaussian density requires an SPD covariance")
+        quad = float(y @ np.linalg.solve(cov, y))
+        det = float(np.linalg.det(cov))
+        return math.exp(-0.5 * quad) / ((2.0 * math.pi) ** (y.size / 2.0) * math.sqrt(det))
+
+    m, k = model.domain.m, model.output_dim
+    jc = jet_covariance(model, p)
+    a, cov = jc.conditional()
+    factor = pivoted_cholesky(cov)
+    nodes, wts = W.nodes(fiber_nodes)
+    nus = W.framing(nodes)
+    base = np.random.default_rng(seed).standard_normal((n_samples, factor.shape[0])) @ factor.T
+    per_sample = np.zeros(n_samples)
+    node_means = np.zeros(nodes.shape[0])
+    for j in range(nodes.shape[0]):
+        jets = base if a is None else base + a @ nodes[j]
+        dx = jets.reshape(n_samples, m, k).transpose(0, 2, 1)
+        proj = np.einsum("km,nkl->nml", nus[j], dx)
+        dets = np.linalg.det(proj) if m > 1 else proj[:, 0, 0]
+        alpha = np.sign(np.linalg.det(proj)) if signed else np.ones(dx.shape[0])
+        contrib = wts[j] * gaussian_density(nodes[j], jc.K0) * alpha * np.abs(dets)
+        per_sample += contrib
+        node_means[j] = float(np.mean(np.abs(contrib)))
+    flagged, reason = False, ""
+    radii = np.linalg.norm(nodes, axis=1)
+    if nodes.shape[0] >= 16 and np.ptp(radii) > 1e-9 * radii.max():
+        mass = node_means[np.argsort(radii)]
+        if mass.sum() > 0 and mass[int(0.9 * mass.size):].sum() > 1e-3 * mass.sum():
+            flagged, reason = True, "fiber integral mass has not decayed at the truncation radius"
+    return (float(per_sample.mean()), float(per_sample.std(ddof=1) / math.sqrt(n_samples)),
+            flagged, reason)
+
+
+# Non-isotropic: correlated coefficients give a nonzero value/derivative cross block.
+CORRELATED = custom_monomial_model(
+    circle_domain(), [[0, 0], [1, 0], [0, 1], [2, 0]],
+    [[1.0, 0.3, 0.1, 0.0], [0.3, 1.0, 0.0, 0.2], [0.1, 0.0, 1.0, 0.0], [0.0, 0.2, 0.0, 1.0]])
+MIXED = isotropic_model([np.array([[1.0, 0.0], [0.0, 0.5]]), np.array([[0.8, 0.3], [0.1, 0.7]]),
+                         np.array([[0.2, 0.0], [0.4, 1.0]])], m=1)
+DENSITY_CASES = {
+    "kostlan_circle": (kostlan_model(1, 4, k=2), circle_target(1.0), [0.6, 0.8]),
+    "kostlan_segment": (kostlan_model(1, 4, k=2), line_segment_target(6.0), [1.0, 0.0]),
+    "kostlan_short_segment": (kostlan_model(1, 4, k=2), line_segment_target(1.2), [0.0, 1.0]),
+    "mixed_circle": (MIXED, circle_target(0.7), [0.28, -0.96]),
+    "mixed_segment": (MIXED, line_segment_target(3.0, angle=0.3), [-0.8, 0.6]),
+    "correlated_point": (CORRELATED, point_target([0.4]), [0.6, 0.8]),
+    "sphere_point": (kostlan_model(2, 3, k=2), point_target([0.3, -0.2]), [0.6, 0.0, 0.8]),
+}
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["unit", "sign"])
+@pytest.mark.parametrize("case", sorted(DENSITY_CASES))
+def test_density_point_equals_per_node_loop_bitwise(case, signed):
+    model, W, p = DENSITY_CASES[case]
+    p = np.array(p)
+    if case == "correlated_point":
+        assert jet_covariance(model, p).conditional()[0] is not None  # the a @ y path
+    for seed in (0, 5):
+        est = density_point(model, W, p, n_samples=3000, fiber_nodes=64,
+                            weight=sign_weight() if signed else None, seed=seed)
+        assert (est.value, est.std_error, est.flagged, est.flag_reason) == \
+            _loop_density_point(model, W, p, 3000, 64, signed, seed)
+    if case == "kostlan_short_segment":
+        assert est.flagged
 
 
 def test_expected_count_kostlan_within_two_percent():
