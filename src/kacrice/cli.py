@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 validation error, 3 flagged or diverged estimates.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -66,49 +67,38 @@ def _record(experiment: str, x: float, formula: float, est: Estimate | None,
 # Model and target construction from config specs
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
 def _invalid_at(path: str):
-    """Report a DomainError raised while building from a config spec as an invalid
+    """Report an error raised while building from a config value as an invalid
     value at path (exit 2); DomainErrors raised later keep exit 3."""
-    def wrap(build):
-        def checked(spec: dict):
-            try:
-                return build(spec)
-            except DomainError as exc:
-                raise ConfigurationError(f"{exc} at {path}") from exc
-        return functools.update_wrapper(checked, build)
-    return wrap
+    try:
+        yield
+    except (DomainError, ConfigurationError) as exc:
+        raise ConfigurationError(f"{exc} at {path}") from exc
 
 
-@_invalid_at("$.model")
 def build_model(spec: dict):
-    kind = spec.get("kind")
-    m = spec.get("m", 1)
-    if kind == "kostlan":
-        return kostlan_model(m, spec.get("degree", 1), spec.get("k", 1))
-    if kind == "mixed_kostlan":
-        mats = [np.atleast_2d(np.asarray(a, dtype=float)) for a in spec["coeff_mats"]]
-        return isotropic_model(mats, m=m)
-    if kind == "custom_basis":
-        return custom_monomial_model(unit_sphere(m), spec["exponents"], spec["coeff_cov"])
-    raise ConfigurationError(f"cannot build model of kind {kind!r}")
+    with _invalid_at("$.model"):
+        if spec["kind"] == "kostlan":
+            return kostlan_model(spec["m"], spec["degree"], spec["k"])
+        if spec["kind"] == "mixed_kostlan":
+            mats = [np.atleast_2d(np.asarray(a, dtype=float)) for a in spec["coeff_mats"]]
+            return isotropic_model(mats, m=spec["m"])
+        return custom_monomial_model(unit_sphere(spec["m"]), spec["exponents"], spec["coeff_cov"])
 
 
-@_invalid_at("$.target")
 def build_curve(spec: dict):
     axis = tuple(spec.get("axis", (0.0, 0.0, 1.0)))
-    if spec["kind"] == "great_circle":
-        return curves.great_circle(axis)
-    return curves.latitude_circle(float(spec.get("rho", LATITUDE_RHO)), axis)
+    with _invalid_at("$.target"):
+        if spec["kind"] == "great_circle":
+            return curves.great_circle(axis)
+        return curves.latitude_circle(float(spec.get("rho", LATITUDE_RHO)), axis)
 
 
 def _model_sigmas(spec: dict):
     if spec["kind"] == "kostlan":
-        d, k = spec.get("degree", 1), spec.get("k", 1)
-        return np.eye(k), d * np.eye(k)
-    if spec["kind"] == "mixed_kostlan":
-        return isotropic_sigmas([np.atleast_2d(np.asarray(a, float))
-                                 for a in spec["coeff_mats"]])
-    raise ConfigurationError("formula side needs a kostlan or mixed_kostlan model at $.model.kind")
+        return np.eye(spec["k"]), spec["degree"] * np.eye(spec["k"])
+    return isotropic_sigmas([np.atleast_2d(np.asarray(a, float)) for a in spec["coeff_mats"]])
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +110,7 @@ def _run_point_count(cfg: ExperimentConfig):
     model = build_model(spec)
     if model.output_dim != 1 or model.domain.m != 1:
         raise ConfigurationError("point_count needs a scalar model on the circle at $.model")
-    if cfg.target.get("kind") != "point":
-        raise ConfigurationError("point_count needs target.kind = point at $.target.kind")
-    levels = np.atleast_1d(np.asarray(cfg.target.get("y", [0.0]), float))
+    levels = np.atleast_1d(np.asarray(cfg.target["y"], float))
     if levels.size != 1:
         raise ConfigurationError("point_count needs exactly one level at $.target.y")
     y = float(levels[0])
@@ -130,19 +118,14 @@ def _run_point_count(cfg: ExperimentConfig):
     formula = formulas.isotropic_point_count(s0, s1, [y])
     counter = functools.partial(oracle.count_zeros_circle, level=y)
     est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
-    x = spec.get("degree", len(spec.get("coeff_mats", [])) - 1)
+    x = spec["degree"] if spec["kind"] == "kostlan" else len(spec["coeff_mats"]) - 1
     return [_record("point_count", x, formula, est, cfg.seed)], est.flagged
 
 
 def _run_sphere_count(cfg: ExperimentConfig):
-    if cfg.model.get("kind") != "kostlan":
-        raise ConfigurationError("sphere_count needs model.kind = kostlan at $.model.kind")
-    if cfg.model.get("m") != 2:
+    if cfg.model["m"] != 2:
         raise ConfigurationError("sphere_count needs model.m = 2 at $.model.m")
-    degrees = cfg.model.get("degrees")
-    if not degrees or len(degrees) != 2:
-        raise ConfigurationError("sphere_count needs model.degrees = [d1, d2] at $.model.degrees")
-    d1, d2 = degrees
+    d1, d2 = degrees = cfg.model["degrees"]
     model1 = kostlan_model(2, d1)
     model2 = kostlan_model(2, d2)
     formula = formulas.shub_smale(degrees)
@@ -173,8 +156,6 @@ def _run_signed_count(cfg: ExperimentConfig):
 
 
 def _run_kinematic(cfg: ExperimentConfig):
-    if cfg.target.get("kind") != "curve_pair":
-        raise ConfigurationError("kinematic needs target.kind = curve_pair")
     c1 = build_curve(cfg.target["curve1"])
     c2 = build_curve(cfg.target["curve2"])
     formula = formulas.kinematic_rhs_sphere(c1, c2)
@@ -194,9 +175,7 @@ def _mixture_mats(eps: float, d_low: int, d_high: int):
 
 def _run_continuity_sweep(cfg: ExperimentConfig):
     grid = cfg.param("epsilon_grid")
-    if not grid:
-        raise ConfigurationError("continuity_sweep needs params.epsilon_grid")
-    d_low, d_high = cfg.model.get("degrees", [4, 9])
+    d_low, d_high = cfg.model["degrees"]
     if d_low >= d_high:
         raise ConfigurationError("continuity_sweep needs d_low < d_high at $.model.degrees")
     records = []
@@ -214,8 +193,6 @@ def _run_continuity_sweep(cfg: ExperimentConfig):
 
 def _run_degree_sweep(cfg: ExperimentConfig):
     grid = cfg.param("degree_grid")
-    if not grid:
-        raise ConfigurationError("degree_sweep needs params.degree_grid")
     records = []
     flagged = False
     for d in grid:
@@ -228,25 +205,21 @@ def _run_degree_sweep(cfg: ExperimentConfig):
     return records, flagged
 
 
-@_invalid_at("$.target")
 def _build_growth_target(spec: dict):
-    kind = spec.get("kind", "subspace")
-    if kind == "subspace":
-        return level_sets.linear_subspace_target(
-            int(spec.get("ambient_dim", 3)), int(spec.get("subspace_dim", 2))), 0.0
-    if kind == "exp_growth":
-        return level_sets.synthetic_growth_target(lambda r: math.exp(r * r)), 1.0
-    if kind == "circle":
-        return level_sets.circle_target(float(spec.get("radius", 1.0))), 0.0
-    raise ConfigurationError(f"subgaussian cannot use target kind {kind!r}")
+    with _invalid_at("$.target"):
+        if spec["kind"] == "subspace":
+            return level_sets.linear_subspace_target(spec["ambient_dim"],
+                                                     spec["subspace_dim"]), 0.0
+        if spec["kind"] == "exp_growth":
+            return level_sets.synthetic_growth_target(lambda r: math.exp(r * r)), 1.0
+        return level_sets.circle_target(float(spec["radius"])), 0.0
 
 
 def _run_subgaussian(cfg: ExperimentConfig):
     grid = cfg.param("R_grid")
-    if not grid:
-        raise ConfigurationError("subgaussian needs params.R_grid")
     target, expected = _build_growth_target(cfg.target)
-    fit = formulas.subgaussian_diagnostic(target, grid)
+    with _invalid_at("$.params.R_grid"):
+        fit = formulas.subgaussian_diagnostic(target, grid)
     rec = _record("subgaussian", 0.0, expected, None, cfg.seed)
     rec["oracle_mean"] = float(fit.eps_hat)
     rec["n"] = len(grid)

@@ -1,15 +1,16 @@
 """Experiment configuration: a versioned JSON schema with strict validation.
 
-Configs are plain dicts on disk; ``ExperimentConfig.from_dict`` validates
-every key (unknown keys are rejected with their path) and fills documented
-defaults, so a config round-trips bit-identically through serialization.
+Configs are plain dicts on disk; ``ExperimentConfig.from_dict`` rejects every
+key that ``EXPERIMENTS`` does not list for the experiment, with its path, then
+fills the documented defaults of the keys the experiment reads, so a config
+round-trips bit-identically through serialization.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import AbstractSet, Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -17,19 +18,6 @@ from .errors import ConfigurationError
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "point_count",
-    "sphere_count",
-    "signed_count",
-    "kinematic",
-    "continuity_sweep",
-    "degree_sweep",
-    "subgaussian",
-    "selfcheck",
-)
-
-MODEL_KINDS = ("kostlan", "mixed_kostlan", "custom_basis")
-TARGET_KINDS = ("point", "circle", "subspace", "exp_growth", "curve_pair")
 CURVE_KINDS = ("great_circle", "latitude")
 
 # Every numeric parameter with its documented default.  The counting oracles
@@ -46,24 +34,56 @@ PARAM_DEFAULTS: dict[str, Any] = {
     "degree_grid": [],        # degrees for the degree sweep
 }
 
-# The parameters each experiment reads; a config that sets any other exits 2.
-EXPERIMENT_PARAMS = {
-    "point_count": {"n_realizations"},
-    "sphere_count": {"n_realizations"},
-    "signed_count": {"n_realizations", "n_samples", "region_nodes"},
-    "kinematic": {"n_rotations", "max_segment"},
-    "continuity_sweep": {"n_realizations", "epsilon_grid"},
-    "degree_sweep": {"n_realizations", "degree_grid"},
-    "subgaussian": {"R_grid"},
-    "selfcheck": set(),
-}
-
 # Per grid parameter: the entries it accepts (JSON numbers, not bools or NaN).
 GRID_ENTRIES = {
     "R_grid": ("finite positive numbers",
                lambda v: type(v) in (int, float) and 0 < v < float("inf")),
     "epsilon_grid": ("numbers in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
     "degree_grid": ("integers >= 0", lambda v: type(v) is int and v >= 0),
+}
+
+
+class Reads(NamedTuple):
+    """What one experiment reads of a config.
+
+    ``model`` and ``target`` map each kind the experiment builds to the keys
+    it reads of that kind, with their defaults (None: the key must be set).
+    ``params`` names the PARAM_DEFAULTS it reads, and ``requires`` the
+    sections and grids that a config must set.  A section that the
+    experiment reads but that a config omits takes its first kind's defaults.
+    """
+
+    params: AbstractSet[str] = frozenset()
+    model: Mapping[str, Mapping[str, Any]] = {}
+    target: Mapping[str, Mapping[str, Any]] = {}
+    requires: AbstractSet[str] = frozenset()
+
+
+_KOSTLAN = {"m": 1, "degree": 1, "k": 1}
+_MIXED_KOSTLAN = {"m": 1, "coeff_mats": None}
+
+# Every experiment and what it reads; a config that sets anything else exits 2.
+EXPERIMENTS = {
+    "point_count": Reads({"n_realizations"},
+                         model={"kostlan": _KOSTLAN, "mixed_kostlan": _MIXED_KOSTLAN},
+                         target={"point": {"y": [0.0]}}, requires={"model", "target"}),
+    "sphere_count": Reads({"n_realizations"}, model={"kostlan": {"m": 1, "degrees": None}},
+                          requires={"model"}),
+    "signed_count": Reads({"n_realizations", "n_samples", "region_nodes"},
+                          model={"kostlan": _KOSTLAN, "mixed_kostlan": _MIXED_KOSTLAN,
+                                 "custom_basis": {"m": 1, "exponents": None, "coeff_cov": None}},
+                          requires={"model"}),
+    "kinematic": Reads({"n_rotations", "max_segment"},
+                       target={"curve_pair": {"curve1": None, "curve2": None}},
+                       requires={"target"}),
+    "continuity_sweep": Reads({"n_realizations", "epsilon_grid"},
+                              model={"mixed_kostlan": {"degrees": [4, 9]}},
+                              requires={"epsilon_grid"}),
+    "degree_sweep": Reads({"n_realizations", "degree_grid"}, requires={"degree_grid"}),
+    "subgaussian": Reads({"R_grid"}, target={"subspace": {"ambient_dim": 3, "subspace_dim": 2},
+                                             "exp_growth": {}, "circle": {"radius": 1.0}},
+                         requires={"R_grid"}),
+    "selfcheck": Reads(),
 }
 
 
@@ -85,11 +105,11 @@ class ExperimentConfig:
         if version != SCHEMA_VERSION:
             raise ConfigurationError(f"unsupported schema_version {version} at $.schema_version")
         experiment = raw.get("experiment")
-        if experiment not in EXPERIMENTS:
+        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment {experiment!r} at $.experiment")
-        model = _validate_model(raw.get("model", {}))
-        target = _validate_target(raw.get("target", {}))
         params = _validate_params(raw.get("params", {}), experiment)
+        model = _validate_section(raw.get("model", {}), "model", experiment)
+        target = _validate_section(raw.get("target", {}), "target", experiment)
         seed = raw.get("seed", 0)
         if type(seed) is not int or seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer at $.seed")
@@ -132,18 +152,17 @@ class ExperimentConfig:
         return self.params.get(name, PARAM_DEFAULTS[name])
 
 
-def _require_keys(obj: dict, path: str, allowed: set):
+def _require_keys(obj: dict, path: str, allowed: AbstractSet[str], reader: str = "kacrice"):
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path} must be a JSON object")
-    for key in obj:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key {key!r} at {path}.{key}")
+    unread = [f"{path}.{key}" for key in obj if key not in allowed]
+    if unread:
+        raise ConfigurationError(f"{reader} does not read {', '.join(unread)}")
 
 
-def _int(value, path: str, low: int) -> int:
-    if type(value) is not int or value < low:
-        raise ConfigurationError(f"{path} must be an integer >= {low}")
-    return value
+def _int(value, path: str, low: int, high: float = float("inf")) -> None:
+    if type(value) is not int or not low <= value <= high:
+        raise ConfigurationError(f"{path} must be an integer in [{low}, {high}]")
 
 
 def _numbers(value, path: str, ndims: tuple, kinds: str = "if") -> None:
@@ -158,73 +177,79 @@ def _numbers(value, path: str, ndims: tuple, kinds: str = "if") -> None:
         raise ConfigurationError(f"{path} must be a rectangular array of finite numbers")
 
 
-def _validate_model(model: dict) -> dict:
-    if not model:
+def _coeff_mats(value, path: str) -> None:
+    if not value or not isinstance(value, list):
+        raise ConfigurationError(f"coeff_mats must be a non-empty list at {path}")
+    for i, a in enumerate(value):
+        _numbers(a, f"{path}[{i}]", (0, 1, 2))
+
+
+def _degrees(value, path: str) -> None:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigurationError(f"model.degrees must be two integers at {path}")
+    for i, d in enumerate(value):
+        _int(d, f"{path}[{i}]", 1)
+
+
+def _curve(curve, path: str) -> None:
+    if not isinstance(curve, dict) or curve.get("kind") not in CURVE_KINDS:
+        raise ConfigurationError(f"curve spec must have kind in {CURVE_KINDS} at {path}")
+    _require_keys(curve, path, {"kind", "axis"} if curve["kind"] == "great_circle"
+                  else {"kind", "rho", "axis"}, reader=curve["kind"])
+    _numbers(curve.get("rho", 1.0), f"{path}.rho", (0,))
+    _numbers(curve.get("axis", [0.0, 0.0, 1.0]), f"{path}.axis", (1,))
+
+
+# The value check of each model and target key; each names the path it rejects.
+KEY_CHECKS = {
+    "m": lambda v, path: _int(v, path, 1, 2),
+    "degree": lambda v, path: _int(v, path, 0),
+    "k": lambda v, path: _int(v, path, 1),
+    "degrees": _degrees,
+    "coeff_mats": _coeff_mats,
+    "exponents": lambda v, path: _numbers(v, path, (2,), kinds="i"),
+    "coeff_cov": lambda v, path: _numbers(v, path, (2,)),
+    "y": lambda v, path: _numbers(v, path, (0, 1)),
+    "radius": lambda v, path: _numbers(v, path, (0,)),
+    "ambient_dim": lambda v, path: _int(v, path, 1),
+    "subspace_dim": lambda v, path: _int(v, path, 1),
+    "curve1": _curve,
+    "curve2": _curve,
+}
+
+
+def _validate_section(raw, section: str, experiment: str) -> dict:
+    """Check the kind and keys of a model or target section against what the
+    experiment reads of it, then fill the defaults of the keys it reads."""
+    path = f"$.{section}"
+    reads = EXPERIMENTS[experiment]
+    kinds = getattr(reads, section)
+    if not kinds or not isinstance(raw, dict):
+        _require_keys(raw, path, set(), experiment)
         return {}
-    _require_keys(model, "$.model",
-                  allowed={"kind", "m", "degree", "degrees", "k", "coeff_mats",
-                           "exponents", "coeff_cov"})
-    kind = model.get("kind")
-    if kind not in MODEL_KINDS:
-        raise ConfigurationError(f"unknown model kind {kind!r} at $.model.kind")
-    m = model.get("m", 1)
-    if type(m) is not int or m not in (1, 2):
-        raise ConfigurationError("model dimension m must be 1 or 2 at $.model.m")
-    out = {"kind": kind, "m": m}
-    if kind == "kostlan":
-        out["degree"] = _int(model.get("degree", 1), "$.model.degree", 0)
-        out["k"] = _int(model.get("k", 1), "$.model.k", 1)
-    elif kind == "mixed_kostlan":
-        mats = model.get("coeff_mats")
-        if not mats or not isinstance(mats, list):
-            raise ConfigurationError("mixed_kostlan needs coeff_mats at $.model.coeff_mats")
-        for i, a in enumerate(mats):
-            _numbers(a, f"$.model.coeff_mats[{i}]", (0, 1, 2))
-        out["coeff_mats"] = mats
-    else:  # custom_basis
-        if "exponents" not in model or "coeff_cov" not in model:
-            raise ConfigurationError(
-                "custom_basis needs exponents and coeff_cov at $.model")
-        _numbers(model["exponents"], "$.model.exponents", (2,), kinds="i")
-        _numbers(model["coeff_cov"], "$.model.coeff_cov", (2,))
-        out["exponents"] = model["exponents"]
-        out["coeff_cov"] = model["coeff_cov"]
-    if "degrees" in model:
-        degrees = model["degrees"]
-        if not isinstance(degrees, list) or len(degrees) != 2:
-            raise ConfigurationError("model.degrees must be two integers at $.model.degrees")
-        out["degrees"] = [_int(d, f"$.model.degrees[{i}]", 1) for i, d in enumerate(degrees)]
+    if not raw:
+        if section in reads.requires:
+            raise ConfigurationError(f"{experiment} needs {path}.kind")
+        raw = {"kind": next(iter(kinds))}
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigurationError(f"{experiment} cannot use {section} kind {kind!r} at {path}.kind")
+    _require_keys(raw, path, {"kind", *kinds[kind]}, experiment)
+    out = {"kind": kind}
+    for key, default in kinds[kind].items():
+        if key in raw:
+            KEY_CHECKS[key](raw[key], f"{path}.{key}")
+            out[key] = raw[key]
+        elif default is None:
+            raise ConfigurationError(f"{experiment} needs {path}.{key}")
+        else:
+            out[key] = default
     return out
 
 
-def _validate_target(target: dict) -> dict:
-    if not target:
-        return {}
-    _require_keys(target, "$.target",
-                  allowed={"kind", "y", "radius", "ambient_dim", "subspace_dim",
-                           "curve1", "curve2"})
-    kind = target.get("kind")
-    if kind not in TARGET_KINDS:
-        raise ConfigurationError(f"unknown target kind {kind!r} at $.target.kind")
-    _numbers(target.get("y", [0.0]), "$.target.y", (0, 1))
-    _numbers(target.get("radius", 1.0), "$.target.radius", (0,))
-    for key in ("ambient_dim", "subspace_dim"):
-        _int(target.get(key, 1), f"$.target.{key}", 1)
-    if kind == "curve_pair":
-        for name in ("curve1", "curve2"):
-            curve = target.get(name)
-            if not isinstance(curve, dict) or curve.get("kind") not in CURVE_KINDS:
-                raise ConfigurationError(
-                    f"curve spec must have kind in {CURVE_KINDS} at $.target.{name}")
-            _require_keys(curve, f"$.target.{name}", allowed=(
-                {"kind", "axis"} if curve["kind"] == "great_circle" else {"kind", "rho", "axis"}))
-            _numbers(curve.get("rho", 1.0), f"$.target.{name}.rho", (0,))
-            _numbers(curve.get("axis", [0.0, 0.0, 1.0]), f"$.target.{name}.axis", (1,))
-    return dict(target)
-
-
 def _validate_params(params: dict, experiment: str) -> dict:
-    _require_keys(params, "$.params", allowed=set(PARAM_DEFAULTS))
+    reads = EXPERIMENTS[experiment]
+    _require_keys(params, "$.params", reads.params, experiment)
     for key, value in params.items():
         kind = type(PARAM_DEFAULTS[key])  # type(True) is bool, so bools are rejected
         if kind is list:
@@ -233,6 +258,7 @@ def _validate_params(params: dict, experiment: str) -> dict:
                 raise ConfigurationError(f"$.params.{key} must be a list of {entries}")
         elif not (type(value) in (int, kind) and 0 < value < float("inf")):
             raise ConfigurationError(f"$.params.{key} must be a finite positive {kind.__name__}")
-        if key not in EXPERIMENT_PARAMS[experiment]:
-            raise ConfigurationError(f"{experiment} does not read $.params.{key}")
+    for key in reads.params & reads.requires:
+        if not params.get(key):
+            raise ConfigurationError(f"{experiment} needs a non-empty $.params.{key}")
     return dict(params)

@@ -1,10 +1,10 @@
 """Euclidean linear geometry: frame volumes and subspace angles.
 
 The central object is the angle sigma(V, W) between two subspaces: the
-product of the sines of their nontrivial principal angles.  It is computed
-from frame volumes (Gram determinants) after splitting off the intersection
-V ∩ W, which is found by singular-value thresholding.  sigma is symmetric,
-lies in (0, 1], and is invariant under orthogonal complementation.
+product of the sines of their nontrivial principal angles, which are the
+singular values of V's basis minus its projection onto W above a rank
+threshold.  sigma is symmetric, lies in (0, 1], and is invariant under
+orthogonal complementation.
 """
 
 from __future__ import annotations
@@ -137,17 +137,15 @@ def intersect(V: Subspace, W: Subspace) -> Subspace:
 def principal_angle(V: Subspace, W: Subspace) -> float:
     """The angle sigma(V, W): product of sines of the nontrivial principal angles.
 
-    Computed as vol(v w) / (vol(v) vol(w)) for frames v, w spanning
-    V ∩ (V∩W)_perp and W ∩ (V∩W)_perp; returns exactly 1.0 when one
-    subspace is contained in the other (up to the rank threshold).
+    For dim V <= dim W, the singular values of V.basis - Pi_W V.basis are
+    the sines of the principal angles; sigma is the product of those above
+    TAU_RANK, and exactly 1.0 when none is, that is when one subspace is
+    contained in the other (up to the rank threshold).
     """
-    v = _split(V, W)[1]
-    w = _split(W, V)[1]
-    if v.shape[0] == 0 or w.shape[0] == 0:
-        return 1.0
-    # v and w are orthonormal, so vol(v) = vol(w) = 1.
-    vol = frame_volume(np.vstack([v, w]))
-    return min(vol, 1.0) if vol > 0.0 else float(vol)
+    if V.dim > W.dim:  # from the larger side the extra right angles read 1 - eps
+        V, W = W, V
+    sines = np.linalg.svd(V.basis - W.project(V.basis), compute_uv=False)
+    return min(float(np.prod(sines[sines > TAU_RANK])), 1.0)
 
 
 def angle_via_projection(V: Subspace, W: Subspace) -> float:

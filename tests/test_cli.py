@@ -1,11 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kacrice.cli import main, run, write_records
-from kacrice.config import EXPERIMENT_PARAMS, ExperimentConfig, PARAM_DEFAULTS
+from kacrice.config import EXPERIMENTS, ExperimentConfig, PARAM_DEFAULTS
 from kacrice.errors import ConfigurationError
 
 
@@ -32,10 +36,14 @@ def point_count_config(tmp_path, out_name="out.csv", fmt="csv", n=60):
 # ---------------------------------------------------------------------------
 
 def test_config_roundtrip_is_bit_identical(tmp_path):
-    raw = point_count_config(tmp_path)
-    cfg = ExperimentConfig.from_dict(raw)
-    again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
-    assert cfg.to_json() == again.to_json()
+    # Validation fills only defaults the experiment reads, so a filled config
+    # validates again to itself.
+    for raw in [point_count_config(tmp_path)] + [dict(small, experiment=name)
+                                                 for name, small in SMALL_CONFIGS.items()]:
+        cfg = ExperimentConfig.from_dict(raw)
+        again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
+        assert cfg.to_json() == again.to_json()
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_rejects_unknown_experiment():
@@ -152,6 +160,11 @@ def test_bad_count_params_exit_2(tmp_path, capsys, key, value):
     assert "Traceback" not in err
 
 
+KOSTLAN = {"kind": "kostlan", "m": 1, "k": 1}
+CUSTOM = {"kind": "custom_basis", "m": 1, "exponents": [[1, 0], [0, 1]]}
+CURVES = {"kind": "curve_pair", "curve2": {"kind": "great_circle"}}
+
+
 @pytest.mark.parametrize("section, value, path", [
     ("params", {"n_realizations": 60, "fiber_nodes": 3}, "$.params.fiber_nodes"),
     ("target", {"kind": "half_line", "y": [0.0]}, "$.target.kind"),
@@ -160,7 +173,31 @@ def test_bad_count_params_exit_2(tmp_path, capsys, key, value):
     ("params", {"n_realizations": 5, "n_rotations": 7, "max_segment": 0.5, "R_grid": [1, 2, 3]},
      "$.params.n_rotations"),
     ("$", {"experiment": "sphere_count", "model": {"kind": "kostlan", "m": 2, "degrees": [2, 3]},
-           "params": {"n_realizations": 60, "grid_n": 256}}, "$.params.grid_n"),
+           "target": {}, "params": {"n_realizations": 60, "grid_n": 256}}, "$.params.grid_n"),
+    ("$", {"experiment": "signed_count", "model": {"kind": "kostlan", "degree": 3},
+           "target": {"kind": "point", "y": [0.7]}, "params": {"n_realizations": 5}},
+     "$.target.y"),
+    ("$", {"experiment": "sphere_count",
+           "model": {"kind": "kostlan", "m": 2, "degree": 7, "k": 3, "degrees": [2, 3]},
+           "target": {}, "params": {"n_realizations": 5}}, "$.model.degree"),
+    ("$", {"experiment": "sphere_count",
+           "model": {"kind": "kostlan", "m": 2, "degree": 7, "k": 3, "degrees": [2, 3]},
+           "target": {}, "params": {"n_realizations": 5}}, "$.model.k"),
+    ("model", {"kind": "kostlan", "m": 1, "degree": 9, "degrees": [2, 3]}, "$.model.degrees"),
+    ("target", {"kind": "point", "y": [0.0], "radius": 2.0}, "$.target.radius"),
+    ("$", {"experiment": "continuity_sweep", "target": {},
+           "model": {"kind": "mixed_kostlan", "coeff_mats": [[[1.0]]], "degrees": [4, 9]},
+           "params": {"n_realizations": 5, "epsilon_grid": [0.5]}}, "$.model.coeff_mats"),
+    ("$", {"experiment": "degree_sweep", "model": {"kind": "kostlan", "degree": 3}, "target": {},
+           "params": {"n_realizations": 5, "degree_grid": [1]}}, "$.model.degree"),
+    ("$", {"experiment": "degree_sweep", "model": {}, "target": {"kind": "point", "y": [0.7]},
+           "params": {"n_realizations": 5, "degree_grid": [1]}}, "$.target.y"),
+    ("$", {"experiment": "kinematic", "model": {"kind": "kostlan", "degree": 3},
+           "target": dict(CURVES, curve1={"kind": "latitude"}), "params": {"n_rotations": 3}},
+     "$.model.degree"),
+    ("$", {"experiment": "subgaussian", "model": {},
+           "target": {"kind": "circle", "radius": 0.5, "y": [0.7]}, "params": {"R_grid": [1, 2, 3]}},
+     "$.target.y"),
 ])
 def test_unread_config_values_exit_2(tmp_path, capsys, section, value, path):
     # The experiment does not read these values, so a config that sets them
@@ -176,9 +213,6 @@ def test_unread_config_values_exit_2(tmp_path, capsys, section, value, path):
     assert "Traceback" not in err
 
 
-KOSTLAN = {"kind": "kostlan", "m": 1, "k": 1}
-CUSTOM = {"kind": "custom_basis", "m": 1, "exponents": [[1, 0], [0, 1]]}
-CURVES = {"kind": "curve_pair", "curve2": {"kind": "great_circle"}}
 # Valid models and params for the rows that test another section of these experiments.
 VALID_MODELS = {"point_count": dict(KOSTLAN, degree=4),
                 "sphere_count": {"kind": "kostlan", "m": 2, "degrees": [2, 3]}}
@@ -190,7 +224,7 @@ VALID_PARAMS = {"point_count": {"n_realizations": 10}, "sphere_count": {"n_reali
                 "continuity_sweep": {"n_realizations": 10, "epsilon_grid": [0.5]}}
 
 
-# A small config per experiment that sets every param it reads.
+# A small config per experiment that sets every section and param it reads.
 SMALL_CONFIGS = {
     "point_count": {"model": dict(KOSTLAN, degree=2), "target": {"kind": "point", "y": [0.0]},
                     "params": {"n_realizations": 5}},
@@ -200,23 +234,101 @@ SMALL_CONFIGS = {
                      "params": {"n_realizations": 5, "n_samples": 200, "region_nodes": 4}},
     "kinematic": {"target": dict(CURVES, curve1={"kind": "latitude"}),
                   "params": {"n_rotations": 3, "max_segment": 1e-2}},
-    "continuity_sweep": {"params": {"n_realizations": 5, "epsilon_grid": [0.5]}},
+    "continuity_sweep": {"model": {"kind": "mixed_kostlan", "degrees": [4, 9]},
+                         "params": {"n_realizations": 5, "epsilon_grid": [0.5]}},
     "degree_sweep": {"params": {"n_realizations": 5, "degree_grid": [1]}},
     "subgaussian": {"target": {"kind": "exp_growth"}, "params": {"R_grid": [1.0, 2.0, 3.0]}},
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(EXPERIMENT_PARAMS))
+# The sections of the model and target kinds that SMALL_CONFIGS does not build.
+MIXED = {"kind": "mixed_kostlan", "coeff_mats": [[[1.0]], [[0.0]], [[1.0]]]}
+OTHER_KINDS = {
+    "point_count": [{"model": MIXED}],
+    "signed_count": [{"model": MIXED}, {"model": dict(CUSTOM, coeff_cov=[[1.0, 0.0], [0.0, 1.0]])}],
+    "subgaussian": [{"target": {"kind": "subspace"}}, {"target": {"kind": "circle", "radius": 0.5}}],
+}
+
+
+class RecordingDict(dict):
+    """A dict that records which of its keys are read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key in self:
+            self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_experiment_params_lists_what_each_runner_reads(monkeypatch, experiment):
-    # config.EXPERIMENT_PARAMS decides which params a config may set; it must
-    # name exactly the params the experiment's runner asks for.
+    # config.EXPERIMENTS decides which params, and which keys of each model and
+    # target kind, a config may set; it must name exactly what the experiment's
+    # runner reads, for every kind it lists.
+    reads = EXPERIMENTS[experiment]
     read = set()
     param = ExperimentConfig.param
     monkeypatch.setattr(ExperimentConfig, "param",
                         lambda self, name: read.add(name) or param(self, name))
-    run(ExperimentConfig.from_dict(dict(SMALL_CONFIGS.get(experiment, {}),
-                                        experiment=experiment)))
-    assert read == EXPERIMENT_PARAMS[experiment]
+    kinds = {"model": set(), "target": set()}
+    for sections in [{}] + OTHER_KINDS.get(experiment, []):
+        read.clear()
+        cfg = ExperimentConfig.from_dict(dict(SMALL_CONFIGS.get(experiment, {}), **sections,
+                                              experiment=experiment))
+        cfg.model, cfg.target = RecordingDict(cfg.model), RecordingDict(cfg.target)
+        run(cfg)
+        assert read == reads.params
+        for section, kind_keys in kinds.items():
+            spec = getattr(cfg, section)
+            if spec:
+                kind_keys.add(spec["kind"])
+                assert spec.read - {"kind"} == set(getattr(reads, section)[spec["kind"]])
+    assert kinds == {"model": set(reads.model), "target": set(reads.target)}
+
+
+KINDS = ["kostlan", "mixed_kostlan", "custom_basis", "point", "circle", "subspace",
+         "exp_growth", "curve_pair", "spline"]
+WRONG_VALUES = [None, "x", True, -1, 1.5, [], [[1, "a"]]]
+# Keys whose default is a large run: dropping them tests nothing the others do not.
+COSTLY_DEFAULTS = {"params", "n_realizations", "n_samples", "region_nodes", "n_rotations",
+                   "max_segment"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_small_configs_exit_cleanly(tmp_path_factory, data):
+    # One mutation of a small config: add an unread key, drop a key, swap a
+    # kind or put in a wrong-typed value.  Every case exits 0, 2 or 3 without
+    # an uncaught exception, and an added unread key exits 2 naming its path.
+    experiment = data.draw(st.sampled_from(sorted(SMALL_CONFIGS)))
+    raw = copy.deepcopy(dict(SMALL_CONFIGS[experiment], experiment=experiment))
+    section = data.draw(st.sampled_from(["$", "model", "target", "params"]))
+    obj = raw if section == "$" else raw.setdefault(section, {})
+    mutation = data.draw(st.sampled_from(["add", "drop", "swap", "retype"]))
+    if mutation == "add":
+        obj["unread"] = 1
+    elif mutation == "swap":
+        obj["kind"] = data.draw(st.sampled_from(KINDS))
+    elif mutation == "drop" and set(obj) - COSTLY_DEFAULTS:
+        del obj[data.draw(st.sampled_from(sorted(set(obj) - COSTLY_DEFAULTS)))]
+    elif mutation == "retype" and obj:
+        obj[data.draw(st.sampled_from(sorted(obj)))] = data.draw(st.sampled_from(WRONG_VALUES))
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path)])
+    assert code in (0, 2, 3)
+    if mutation == "add":
+        assert code == 2
+        assert ("$.unread" if section == "$" else f"$.{section}.unread") in err.getvalue()
 
 
 @pytest.mark.parametrize("experiment, section, value, path", [
@@ -244,8 +356,8 @@ def test_experiment_params_lists_what_each_runner_reads(monkeypatch, experiment)
     ("point_count", "model", 5, "$.model"),
     ("point_count", "model", {"kind": "mixed_kostlan", "coeff_mats": [[[1, 0], [0, 1]]] * 2},
      "$.model"),
-    ("continuity_sweep", "model", {"kind": "mixed_kostlan", "coeff_mats": [[[1.0]]],
-                                   "degrees": [9, 4]}, "$.model.degrees"),
+    ("continuity_sweep", "model", {"kind": "mixed_kostlan", "degrees": [9, 4]},
+     "$.model.degrees"),
     ("kinematic", "target", dict(CURVES, curve1={"kind": "latitude", "axis": [0, 0, 0]}),
      "$.target"),
     ("point_count", "target", {"kind": "circle", "radius": 2.0}, "$.target.kind"),
@@ -259,6 +371,15 @@ def test_experiment_params_lists_what_each_runner_reads(monkeypatch, experiment)
                              "curve2": {"kind": "great_circle", "rho": 0.5}},
      "$.target.curve2.rho"),
     ("point_count", "model", dict(CUSTOM, coeff_cov=[[1.0, 0.0], [0.0, 1.0]]), "$.model.kind"),
+    ("signed_count", "model", {}, "$.model.kind"),
+    ("kinematic", "target", {}, "$.target.kind"),
+    ("continuity_sweep", "params", {"epsilon_grid": []}, "$.params.epsilon_grid"),
+    ("degree_sweep", "params", {"degree_grid": []}, "$.params.degree_grid"),
+    ("subgaussian", "params", {"R_grid": []}, "$.params.R_grid"),
+    ("subgaussian", "params", {"R_grid": [1, 2]}, "$.params.R_grid"),
+    # A circle of radius 2 has no volume in the ball of radius 1, so the
+    # growth fit over R_grid [1, 2, 3] is undefined.
+    ("subgaussian", "target", {"kind": "circle", "radius": 2.0}, "$.params.R_grid"),
 ])
 def test_bad_model_target_and_grid_values_exit_2(tmp_path, capsys, experiment, section,
                                                  value, path):
@@ -366,7 +487,6 @@ def test_selfcheck_passes(tmp_path):
 def test_degree_sweep_formula_column(tmp_path):
     cfg = {
         "experiment": "degree_sweep",
-        "model": {"kind": "kostlan", "m": 1, "degree": 1, "k": 1},
         "params": {"degree_grid": [1, 4, 9, 16, 25], "n_realizations": 20},
         "seed": 3,
         "output": {"path": str(tmp_path / "sweep.csv"), "format": "csv"},
@@ -386,8 +506,7 @@ def test_sweep_rejects_non_sweep_experiment(tmp_path):
 def test_continuity_sweep_monotone(tmp_path):
     cfg = {
         "experiment": "continuity_sweep",
-        "model": {"kind": "mixed_kostlan", "m": 1, "coeff_mats": [[[1.0]]],
-                  "degrees": [4, 9]},
+        "model": {"kind": "mixed_kostlan", "degrees": [4, 9]},
         "params": {"epsilon_grid": [0.0, 0.3, 0.7, 1.0], "n_realizations": 15},
         "seed": 5,
         "output": {"path": str(tmp_path / "cont.csv"), "format": "csv"},
@@ -406,7 +525,7 @@ def test_continuity_sweep_counts_a_field_below_its_top_degree(tmp_path):
     # trigonometric polynomial of degree 4 in a degree-6 model.
     cfg = {
         "experiment": "continuity_sweep",
-        "model": {"kind": "mixed_kostlan", "m": 1, "coeff_mats": [[[1.0]]], "degrees": [4, 6]},
+        "model": {"kind": "mixed_kostlan", "degrees": [4, 6]},
         "params": {"epsilon_grid": [0.0], "n_realizations": 20},
         "seed": 5,
         "output": {"path": str(tmp_path / "cont.csv"), "format": "csv"},
