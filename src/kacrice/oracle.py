@@ -1,14 +1,18 @@
 """Brute-force validators that avoid the Kac-Rice formulas entirely.
 
-Counts here come from individual realizations: the unit-circle roots of one
-polynomial (the field itself on the circle, a resultant on the sphere), and
-exact segment-pair intersection of polylines under Haar-random rotations.
-Root counts flag a polynomial that vanishes identically and roots too close
-to call, so unresolved realizations are observable rather than silent.
+Counts here come from individual realizations: the zeros of one
+trigonometric polynomial (the field itself on the circle, a resultant on the
+sphere), found as the real roots of one real polynomial in t = tan(phi / 2)
+with phi measured from CIRCLE_SHIFT, and exact segment-pair intersection of
+polylines under Haar-random rotations.  Root counts flag a polynomial that
+vanishes identically and roots too close to call, including zeros that the
+polynomial does not cross (a sign check at the midpoints between them), so
+unresolved realizations are observable rather than silent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,6 +37,10 @@ SPHERE_CENTRE = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
 _U1 = np.cross(SPHERE_CENTRE, [1.0, 0.0, 0.0])
 _SPHERE_PLANE = np.stack([_U1, np.cross(SPHERE_CENTRE, _U1)]) / np.linalg.norm(_U1)
 
+# Angle from which the circle root finder measures, a generic one: not 0 or
+# pi, where simple test fields put their zeros (see _unit_circle_roots).
+CIRCLE_SHIFT = math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class CountSample:
@@ -53,37 +61,76 @@ def _min_separation(angles: np.ndarray) -> float:
     """Smallest gap between sorted angles around the circle (inf below two)."""
     if angles.size < 2:
         return float("inf")
-    return float(np.diff(angles, append=angles[0] + 2.0 * np.pi).min())
+    return float((np.concatenate((angles[1:], angles[:1] + 2.0 * np.pi)) - angles).min())
+
+
+@functools.lru_cache(maxsize=None)
+def _t_form(d: int) -> np.ndarray:
+    """Map (d + 1, 2d + 1) from the Fourier coefficients c_0..c_d of a real
+    trigonometric polynomial p of degree d to the coefficients, highest power
+    first, of the real polynomial (1 + t^2)^d p(CIRCLE_SHIFT + phi) in
+    t = tan(phi / 2): the real part of c_0..c_d times the map.
+
+    With e^{i phi} = (1 + it) / (1 - it), (1 + t^2)^d e^{ik phi} is
+    (1 + it)^(d + k) (1 - it)^(d - k).  Row k holds that times e^{ik CIRCLE_SHIFT},
+    doubled for k >= 1 to stand in for the conjugate term of c_-k.
+    """
+    plus = [np.ones(1, dtype=complex)]  # t-coefficients of (1 + it)^j, lowest first
+    for _ in range(2 * d):
+        plus.append(np.convolve(plus[-1], [1.0, 1.0j]))
+    rows = np.array([np.convolve(plus[d + k], plus[d - k].conj()) for k in range(d + 1)])
+    weights = 2.0 * np.exp(1j * CIRCLE_SHIFT * np.arange(d + 1))
+    weights[0] = 1.0
+    t_map = weights[:, None] * rows[:, ::-1]
+    t_map.flags.writeable = False  # cached: one array serves every caller
+    return t_map
 
 
 def _unit_circle_roots(samples: np.ndarray, scale: float):
     """Zeros of a real trigonometric polynomial p of degree at most D from its
     values at the 2D + 1 nodes 2 pi j / (2D + 1).
 
-    The Fourier coefficients c_k of the samples make w^d p = sum_k c_k w^(k + d),
-    a polynomial of degree 2d in w = e^{i theta}, and its unit-circle roots are
-    the zeros of p.  Here d is the largest k with |c_k| above
-    RESULTANT_VANISH_TOL * scale (scale bounds the terms that make the
-    samples): smaller top coefficients are rounding noise that would put
-    spurious roots near w = 0 and w = infinity.  Returns (sorted zero angles
-    in [0, 2 pi), reason): the reason is "vanishes identically" when no c_k
-    is above the tolerance, "roots too close to call" when a root lies within
-    AMBIGUOUS_ROOT_TOL of the unit circle without being real or two zeros lie
-    within AMBIGUOUS_ROOT_TOL of each other, and "" otherwise.
+    The samples give p's Fourier coefficients c_k.  The top ones with |c_k|
+    at most RESULTANT_VANISH_TOL * scale (scale bounds the terms that make
+    the samples) are rounding noise that would add spurious roots, so p is
+    taken to degree d, the largest k above it.  With theta = CIRCLE_SHIFT +
+    phi and t = tan(phi / 2), (1 + t^2)^d p is a real polynomial of degree at
+    most 2d in t (``_t_form``).  Its roots map to w = -(t - i) / (t + i) =
+    e^{i phi}, and the zeros of p are those on the unit circle.  CIRCLE_SHIFT
+    keeps zeros at theta = 0 or pi, where simple fields put them, away from
+    t = infinity.
+
+    Returns (sorted zero angles in [0, 2 pi), reason).  The reason is
+    "vanishes identically" when no c_k is above the tolerance, and "roots too
+    close to call" when a root that is not real (|log|w|| at least
+    REAL_ROOT_TOL) lies within AMBIGUOUS_ROOT_TOL of the unit circle, when two
+    zeros lie within AMBIGUOUS_ROOT_TOL of each other, or when an even number
+    of zeros does not alternate the sign of p at the midpoints between them.
+    It is "" otherwise; an odd number of zeros is left to the caller.
     """
     D = samples.size // 2
     fourier = np.fft.fft(samples) / samples.size
     above = np.flatnonzero(np.abs(fourier[:D + 1]) > RESULTANT_VANISH_TOL * scale)
     if above.size == 0:
         return np.zeros(0), "vanishes identically"
-    d = above[-1]
-    roots = np.roots(fourier[np.arange(d, -d - 1, -1)])  # highest power first
-    off_circle = np.abs(np.log(np.abs(roots)))
+    d = int(above[-1])
+    t = np.roots((fourier[:d + 1] @ _t_form(d)).real)
+    w = (1j - t) / (t + 1j)
+    off_circle = np.abs(np.log(np.abs(w)))
     real = off_circle < REAL_ROOT_TOL
-    angles = np.sort(np.mod(np.angle(roots[real]), 2.0 * np.pi))
+    angles = np.sort(np.mod(np.angle(w[real]) + CIRCLE_SHIFT, 2.0 * np.pi))
     reason = ""
     if min(off_circle[~real].min(initial=np.inf), _min_separation(angles)) < AMBIGUOUS_ROOT_TOL:
         reason = "roots too close to call"
+    elif angles.size > 0 and angles.size % 2 == 0:
+        # The sign of p, from all its Fourier coefficients (trimmed ones too),
+        # at the midpoints: a zero that p does not cross was miscounted.
+        # An even number of signs alternates all round when neighbours differ.
+        mids = 0.5 * (angles + np.concatenate((angles[1:], angles[:1] + 2.0 * np.pi)))
+        powers = np.exp(1j * mids)[:, None] ** np.arange(1, D + 1)
+        positive = fourier[0].real + 2.0 * (powers @ fourier[1:D + 1]).real > 0.0
+        if not (positive[1:] != positive[:-1]).all():
+            reason = "roots too close to call"
     return angles, reason
 
 

@@ -145,7 +145,6 @@ def test_invalid_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("grid_n", 0), ("grid_n", -4), ("grid_n", 2.5), ("grid_n", True),
     ("n_realizations", 0), ("n_samples", "10"), ("n_samples", None),
     ("n_seeds", -1), ("region_nodes", 0), ("n_rotations", 1.0),
     ("max_segment", 0.0), ("max_segment", -1e-3), ("max_segment", float("inf")),

@@ -86,6 +86,21 @@ def test_count_zero_weight_top_blocks_without_warnings():
             assert not cs.flagged
 
 
+# y = sin(theta) is 0 where tan(theta / 2) is 0 or infinite; x = cos(theta).
+@pytest.mark.parametrize("exponents, zeros", [
+    ([[0, 1]], [0.0, np.pi]),
+    ([[1, 0]], [np.pi / 2, 3 * np.pi / 2]),
+])
+def test_count_coordinate_fields(exponents, zeros):
+    model = custom_monomial_model(circle_domain(), exponents, np.eye(1))
+    r = Realization(model, np.array([1.0]), seed=0)
+    cs = count_zeros_circle(r)
+    assert cs.count == 2
+    assert not cs.flagged
+    roots = oracle._circle_roots(r, 0.0)[0]
+    assert np.abs(np.angle(np.exp(1j * (roots[:, None] - zeros)))).min(axis=0).max() < 1e-12
+
+
 def test_count_resolves_a_close_pair_at_a_pinned_seed():
     # Two of the six roots lie 0.0070 apart: sign changes on grids of 256 and
     # 512 nodes miss both, and an exact Sturm count also gives 6.
@@ -95,7 +110,7 @@ def test_count_resolves_a_close_pair_at_a_pinned_seed():
 
 
 def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -108,29 +123,40 @@ def _poly_trim(p):
     return p
 
 
-def _poly_rem(a, b):
-    """Remainder of a divided by b (coefficient lists, lowest degree first)."""
-    a = list(a)
+def _primitive(p):
+    """p divided by the gcd of its integer coefficients."""
+    g = math.gcd(*p)
+    return [x // g for x in p]
+
+
+def _sturm_next(a, b):
+    """A positive multiple of -(a mod b), primitive (integer coefficient lists,
+    lowest degree first): pseudo-division by b, with the sign of lc(b)^steps
+    undone."""
+    a, lead, steps = list(a), b[-1], 0
     while len(a) >= len(b):
-        q, shift = a[-1] / b[-1], len(a) - len(b)
+        q, shift = a[-1], len(a) - len(b)
+        a = [x * lead for x in a]
         for i, c in enumerate(b):
             a[shift + i] -= q * c
         a = _poly_trim(a[:-1])
-    return a
+        steps += 1
+    sign = -1 if lead < 0 and steps % 2 else 1
+    return _primitive([-sign * x for x in a]) if a else a
 
 
 def exact_circle_count(realization, level) -> int:
-    """Distinct zeros of realization - level on S^1, in exact rational arithmetic.
+    """Distinct zeros of realization - level on S^1, in exact integer arithmetic.
 
     With t = tan(theta / 2), (1 + t^2)^D (f(cos, sin) - level) is a polynomial
     P(t) of degree at most 2D, whose distinct real roots Sturm's theorem
     counts.  Its t^(2D) coefficient is f(-1, 0) - level, so theta = pi
-    (t = infinity) is a zero exactly when P has degree below 2D.
+    (t = infinity) is a zero exactly when P has degree below 2D.  The terms
+    are exact binary fractions, so one common denominator makes P integer; the
+    Sturm chain keeps positive multiples of its members, made primitive.
     """
     model = realization.model
     D = max(int(b.exponents.sum(axis=1).max()) for _, b in model.components)
-    one_plus, one_minus, two_t = [1, 0, 1], [1, 0, -1], [0, 2]
-    P = [Fraction(0)] * (2 * D + 1)
     terms = [(-Fraction(level), 0, 0)]
     col = 0
     for mix, basis in model.components:
@@ -139,18 +165,20 @@ def exact_circle_count(realization, level) -> int:
                 c = Fraction(mix[0, ch]) * Fraction(scale) * Fraction(realization.coeffs[col])
                 terms.append((c, int(e[0]), int(e[1])))
                 col += 1
+    denom = math.lcm(*(c.denominator for c, _, _ in terms))
+    P = [0] * (2 * D + 1)
     for c, a, b in terms:
-        term = [c]
-        for factor, power in ((one_minus, a), (two_t, b), (one_plus, D - a - b)):
+        term = [int(c * denom)]
+        for factor, power in (([1, 0, -1], a), ([0, 2], b), ([1, 0, 1], D - a - b)):
             for _ in range(power):
                 term = _poly_mul(term, factor)
         for i, x in enumerate(term):
             P[i] += x
     at_pi = int(P[-1] == 0)
-    P = _poly_trim(P)
-    sturm = [P, _poly_trim([i * x for i, x in enumerate(P)][1:])]
+    P = _primitive(_poly_trim(P))
+    sturm = [P, _primitive(_poly_trim([i * x for i, x in enumerate(P)][1:]))]
     while sturm[-1]:
-        sturm.append([-x for x in _poly_rem(sturm[-2], sturm[-1])])
+        sturm.append(_sturm_next(sturm[-2], sturm[-1]))
     sturm = sturm[:-1]
 
     def sign_changes(signs):
@@ -176,6 +204,16 @@ def test_unflagged_counts_equal_exact_sturm_counts(model, seed, level):
     cs = count_zeros_circle(r, level=level)
     if not cs.flagged:
         assert cs.count == exact_circle_count(r, level)
+
+
+# The three of criterion 1's 2000 Kostlan-25 realizations (seed 101) with the
+# closest pairs of zeros: 0.0060, 0.0082 and 0.0123 apart.
+@pytest.mark.parametrize("seed", [4034906785841651690, 605003646302775996, 2001954823643737063])
+def test_kostlan_25_counts_equal_exact_sturm_counts(seed):
+    r = sample(kostlan_model(1, 25), seed)
+    cs = count_zeros_circle(r)
+    assert not cs.flagged
+    assert cs.count == exact_circle_count(r, 0.0)
 
 
 def test_count_rejects_vector_field():
@@ -312,6 +350,18 @@ def test_common_zeros_flags_a_near_tangency():
         cs = count_common_zeros_sphere(cone, product_of_linear_forms([1.0, 0.0, -1.0 - delta]))
         assert cs.flagged
         assert "too close" in cs.flag_reason
+
+
+# Kostlan (6, 7) pairs; sign changes of R on 40 000 and 160 000 nodes give 2
+# and 6.  At the first, trimming drops R's top 4 Fourier pairs, and the
+# trimmed polynomial has zeros that R does not cross.  At the second, the
+# unshifted form (CIRCLE_SHIFT = 0) finds 16 zeros, and only the sign check
+# flags them.
+@pytest.mark.parametrize("seed, count", [(11086494670875607575, 2), (6746118833388834578, 6)])
+def test_common_zeros_flag_or_count_right_at_pinned_seeds(seed, count):
+    cs = count_common_zeros_sphere(sample(kostlan_model(2, 6), seed),
+                                   sample(kostlan_model(2, 7), seed ^ 1))
+    assert cs.flagged or cs.count == count
 
 
 def test_common_zeros_reject_non_homogeneous_fields():
