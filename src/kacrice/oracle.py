@@ -2,12 +2,13 @@
 
 Counts here come from individual realizations: the zeros of one
 trigonometric polynomial (the field itself on the circle, a resultant on the
-sphere), found as the real roots of one real polynomial in t = tan(phi / 2)
-with phi measured from CIRCLE_SHIFT, and exact segment-pair intersection of
-polylines under Haar-random rotations.  Root counts flag a polynomial that
-vanishes identically and roots too close to call, including zeros that the
-polynomial does not cross (a sign check at the midpoints between them), so
-unresolved realizations are observable rather than silent.
+sphere), found as the real roots of one real polynomial in u = tan(phi / 2),
+or tan(phi) when it is antipodally symmetric, with phi measured from
+CIRCLE_SHIFT, and exact segment-pair intersection of polylines under
+Haar-random rotations.  Root counts flag a polynomial that vanishes
+identically and roots too close to call, including zeros that the polynomial
+does not cross (a sign check at the midpoints between them), so unresolved
+realizations are observable rather than silent.
 """
 
 from __future__ import annotations
@@ -65,48 +66,50 @@ def _min_separation(angles: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _t_form(d: int) -> np.ndarray:
-    """Map (d + 1, 2d + 1) from the Fourier coefficients c_0..c_d of a real
-    trigonometric polynomial p of degree d to the coefficients, highest power
-    first, of the real polynomial (1 + t^2)^d p(CIRCLE_SHIFT + phi) in
-    t = tan(phi / 2): the real part of c_0..c_d times the map.
+def _t_form(d: int, s: int):
+    """(ks, map) for a real trigonometric polynomial p of degree d whose Fourier
+    coefficients c_k vanish for k outside ks = d mod s .. d in steps of s: the
+    real part of c_ks times the map is (1 + u^2)^(d / s) p(CIRCLE_SHIFT + phi),
+    u = tan(s phi / 2), as a real polynomial in u, highest power first.
 
-    With e^{i phi} = (1 + it) / (1 - it), (1 + t^2)^d e^{ik phi} is
-    (1 + it)^(d + k) (1 - it)^(d - k).  Row k holds that times e^{ik CIRCLE_SHIFT},
-    doubled for k >= 1 to stand in for the conjugate term of c_-k.
+    With e^{i s phi} = (1 + iu) / (1 - iu), (1 + u^2)^(d / s) e^{ik phi} is
+    (1 + iu)^((d + k) / s) (1 - iu)^((d - k) / s).  Row k holds that times
+    e^{ik CIRCLE_SHIFT}, doubled for k >= 1 for the conjugate term of c_-k.
     """
-    plus = [np.ones(1, dtype=complex)]  # t-coefficients of (1 + it)^j, lowest first
-    for _ in range(2 * d):
+    ks = np.arange(d % s, d + 1, s)
+    plus = [np.ones(1, dtype=complex)]  # u-coefficients of (1 + iu)^j, lowest first
+    for _ in range(2 * d // s):
         plus.append(np.convolve(plus[-1], [1.0, 1.0j]))
-    rows = np.array([np.convolve(plus[d + k], plus[d - k].conj()) for k in range(d + 1)])
-    weights = 2.0 * np.exp(1j * CIRCLE_SHIFT * np.arange(d + 1))
-    weights[0] = 1.0
+    rows = np.array([np.convolve(plus[(d + k) // s], plus[(d - k) // s].conj()) for k in ks])
+    weights = 2.0 * np.exp(1j * CIRCLE_SHIFT * ks)
+    weights[ks == 0] = 1.0
     t_map = weights[:, None] * rows[:, ::-1]
-    t_map.flags.writeable = False  # cached: one array serves every caller
-    return t_map
+    ks.flags.writeable = t_map.flags.writeable = False  # cached: shared by every caller
+    return ks, t_map
 
 
 def _unit_circle_roots(samples: np.ndarray, scale: float):
     """Zeros of a real trigonometric polynomial p of degree at most D from its
     values at the 2D + 1 nodes 2 pi j / (2D + 1).
 
-    The samples give p's Fourier coefficients c_k.  The top ones with |c_k|
-    at most RESULTANT_VANISH_TOL * scale (scale bounds the terms that make
-    the samples) are rounding noise that would add spurious roots, so p is
-    taken to degree d, the largest k above it.  With theta = CIRCLE_SHIFT +
-    phi and t = tan(phi / 2), (1 + t^2)^d p is a real polynomial of degree at
-    most 2d in t (``_t_form``).  Its roots map to w = -(t - i) / (t + i) =
-    e^{i phi}, and the zeros of p are those on the unit circle.  CIRCLE_SHIFT
-    keeps zeros at theta = 0 or pi, where simple fields put them, away from
-    t = infinity.
+    The samples give p's Fourier coefficients c_k; those at most
+    RESULTANT_VANISH_TOL * scale (scale bounds the terms that make the
+    samples) are rounding noise.  The top ones would add spurious roots, so p
+    is taken to degree d, the largest k above it.  If every k above it is
+    d mod 2, p(theta + pi) = +-p(theta) and s = 2, else s = 1.  With
+    theta = CIRCLE_SHIFT + phi and u = tan(s phi / 2), (1 + u^2)^(d / s) p is a
+    real polynomial of degree at most 2d / s in u (``_t_form``).  Its roots
+    map to w = -(u - i) / (u + i) = e^{i s phi}; those on the unit circle give
+    the zeros phi = arg(w) / s + j pi, j < s.  CIRCLE_SHIFT keeps zeros at
+    theta = 0 or pi, where simple fields put them, away from u = infinity.
 
     Returns (sorted zero angles in [0, 2 pi), reason).  The reason is
     "vanishes identically" when no c_k is above the tolerance, and "roots too
-    close to call" when a root that is not real (|log|w|| at least
-    REAL_ROOT_TOL) lies within AMBIGUOUS_ROOT_TOL of the unit circle, when two
-    zeros lie within AMBIGUOUS_ROOT_TOL of each other, or when an even number
-    of zeros does not alternate the sign of p at the midpoints between them.
-    It is "" otherwise; an odd number of zeros is left to the caller.
+    close to call" when a root off the circle (by |log|w|| / s, in theta, at
+    least REAL_ROOT_TOL) or the gap between two zeros is below
+    AMBIGUOUS_ROOT_TOL, or when an even number of zeros does not alternate the
+    sign of p at the midpoints between them.  It is "" otherwise; an odd
+    number of zeros is left to the caller.
     """
     D = samples.size // 2
     fourier = np.fft.fft(samples) / samples.size
@@ -114,11 +117,14 @@ def _unit_circle_roots(samples: np.ndarray, scale: float):
     if above.size == 0:
         return np.zeros(0), "vanishes identically"
     d = int(above[-1])
-    t = np.roots((fourier[:d + 1] @ _t_form(d)).real)
-    w = (1j - t) / (t + 1j)
-    off_circle = np.abs(np.log(np.abs(w)))
+    s = 2 if ((d - above) % 2 == 0).all() else 1
+    ks, t_map = _t_form(d, s)
+    u = np.roots((fourier[ks] @ t_map).real)
+    w = (1j - u) / (u + 1j)
+    off_circle = np.abs(np.log(np.abs(w))) / s
     real = off_circle < REAL_ROOT_TOL
-    angles = np.sort(np.mod(np.angle(w[real]) + CIRCLE_SHIFT, 2.0 * np.pi))
+    phis = (np.angle(w[real]) / s + np.pi * np.arange(s)[:, None]).ravel()
+    angles = np.sort(np.mod(phis + CIRCLE_SHIFT, 2.0 * np.pi))
     reason = ""
     if min(off_circle[~real].min(initial=np.inf), _min_separation(angles)) < AMBIGUOUS_ROOT_TOL:
         reason = "roots too close to call"
@@ -273,14 +279,8 @@ def mc_expected_count_seeded(counter_by_seed: Callable[[int], CountSample],
     """
     child_seeds = np.random.SeedSequence(seed).generate_state(n_samples, np.uint64)
     samples = [counter_by_seed(int(s)) for s in child_seeds]
-    counts = []
-    excluded = 0
-    for cs in samples:
-        if cs.flagged:
-            excluded += 1
-        else:
-            counts.append(cs.count)
-    kept = np.asarray(counts, dtype=float)
+    kept = np.array([cs.count for cs in samples if not cs.flagged], dtype=float)
+    excluded = n_samples - kept.size
     if kept.size == 0:
         return Estimate(value=float("nan"), std_error=float("inf"), n=0, seed=seed,
                         method="mc_expected_count", flagged=True,

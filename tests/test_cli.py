@@ -413,6 +413,34 @@ def test_sphere_count_record_is_pinned(tmp_path):
     assert (tmp_path / "sphere.csv").read_bytes() == SPHERE_COUNT_RECORD
 
 
+# point_count records: the README example (Kostlan 25 at level 0, whose
+# trigonometric polynomial is antipodally symmetric, so its zeros come from
+# the degree-25 form in tan(phi)) and Kostlan 9 at level 0.8 (not symmetric:
+# the degree-18 form in tan(phi / 2)).
+README_POINT_COUNT_RECORD = (
+    b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+    b"point_count,25.0,10.0,10.134,0.07455065995985698,1.797435462974504,2000,20260808\n")
+LEVEL_POINT_COUNT_RECORD = (
+    b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+    b"point_count,9.0,4.356894222442145,4.433333333333334,0.0978968735183479,"
+    b"0.7808125851625088,300,12\n")
+
+
+def test_readme_point_count_record_is_pinned(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg["output"]["path"] = str(tmp_path / "results.csv")
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "results.csv").read_bytes() == README_POINT_COUNT_RECORD
+
+
+def test_level_point_count_record_is_pinned(tmp_path):
+    cfg = dict(point_count_config(tmp_path, n=300), seed=12,
+               target={"kind": "point", "y": [0.8]})
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == LEVEL_POINT_COUNT_RECORD
+
+
 # A scalar circle model with correlated coefficients: its value and derivative
 # are correlated, so the formula side conditions the jet on the value.
 CORRELATED_CUSTOM = {"kind": "custom_basis", "m": 1, "exponents": [[0, 0], [1, 0], [0, 1]],

@@ -352,12 +352,14 @@ def test_common_zeros_flags_a_near_tangency():
         assert "too close" in cs.flag_reason
 
 
-# Kostlan (6, 7) pairs; sign changes of R on 40 000 and 160 000 nodes give 2
-# and 6.  At the first, trimming drops R's top 4 Fourier pairs, and the
-# trimmed polynomial has zeros that R does not cross.  At the second, the
+# Kostlan (6, 7) pairs; sign changes of R on 40 000, 160 000 and 40 000 nodes
+# give 2, 6 and 12.  At the first, trimming drops R's top 4 Fourier pairs, and
+# the trimmed polynomial has zeros that R does not cross.  At the second, the
 # unshifted form (CIRCLE_SHIFT = 0) finds 16 zeros, and only the sign check
-# flags them.
-@pytest.mark.parametrize("seed, count", [(11086494670875607575, 2), (6746118833388834578, 6)])
+# flags them.  At the third, the full degree-2D form in tan(phi / 2) finds
+# only 11 zeros and flags them; the degree-D form in tan(phi) counts 12.
+@pytest.mark.parametrize("seed, count", [(11086494670875607575, 2), (6746118833388834578, 6),
+                                         (4118713801194905118, 12)])
 def test_common_zeros_flag_or_count_right_at_pinned_seeds(seed, count):
     cs = count_common_zeros_sphere(sample(kostlan_model(2, 6), seed),
                                    sample(kostlan_model(2, 7), seed ^ 1))
@@ -368,6 +370,80 @@ def test_common_zeros_reject_non_homogeneous_fields():
     mixed = sample(isotropic_model([np.eye(1), np.eye(1)], m=2), 1)
     with pytest.raises(DomainError):
         count_common_zeros_sphere(mixed, sample(kostlan_model(2, 2), 2))
+
+
+# ---------------------------------------------------------------------------
+# Parity halving: the degree-d form for antipodally symmetric polynomials
+# ---------------------------------------------------------------------------
+
+def spy(monkeypatch, name):
+    """Replace oracle.<name> by a wrapper that records its arguments."""
+    calls, real = [], getattr(oracle, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, name, wrapper)
+    return calls
+
+
+def zeros_by_form(samples, s):
+    """Zero angles of the trigonometric polynomial with these samples, from
+    the real roots of its full-degree form ``_t_form(D, s)``."""
+    fourier = np.fft.fft(samples) / samples.size
+    ks, t_map = oracle._t_form(samples.size // 2, s)
+    u = np.roots((fourier[ks] @ t_map).real)
+    w = (1j - u) / (u + 1j)
+    phis = np.angle(w[np.abs(np.log(np.abs(w))) < s * oracle.REAL_ROOT_TOL]) / s
+    return np.sort(np.mod(np.add.outer(np.pi * np.arange(s), phis).ravel() + oracle.CIRCLE_SHIFT,
+                          2.0 * np.pi))
+
+
+KERNEL = isotropic_model([np.eye(1), np.eye(1)], m=1)  # kernel 1 + <x, y>
+# (count of one realization by seed, the s that _t_form must be asked for).
+# A homogeneous field at level 0, an even-degree one at any level and every
+# sphere resultant (homogeneous of degree d1 d2 in cos phi, sin phi) are
+# antipodally symmetric.
+PARITY_CASES = {
+    "kostlan 25 at level 0": (
+        lambda seed: count_zeros_circle(sample(kostlan_model(1, 25), seed)), 2),
+    "kostlan 4 at level 0.5": (
+        lambda seed: count_zeros_circle(sample(kostlan_model(1, 4), seed), 0.5), 2),
+    "sphere (3, 4)": (lambda seed: count_common_zeros_sphere(
+        sample(kostlan_model(2, 3), seed), sample(kostlan_model(2, 4), seed ^ 1)), 2),
+    "kostlan 9 at level 0.8": (
+        lambda seed: count_zeros_circle(sample(kostlan_model(1, 9), seed), 0.8), 1),
+    "kernel 1 + <x, y>": (lambda seed: count_zeros_circle(sample(KERNEL, seed)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_parity_halving_picks_the_form_from_the_fourier_coefficients(monkeypatch, name):
+    count, s = PARITY_CASES[name]
+    forms = spy(monkeypatch, "_t_form")
+    for seed in range(10):
+        count(seed)
+    assert len(forms) == 10
+    assert {form_s for _, form_s in forms} == {s}
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(PARITY_CASES) if PARITY_CASES[n][1] == 2])
+def test_halved_and_full_forms_give_the_same_zeros(monkeypatch, name):
+    inputs = spy(monkeypatch, "_unit_circle_roots")
+    for seed in range(10):
+        PARITY_CASES[name][0](seed)
+    monkeypatch.undo()
+    n_zeros = 0
+    for samples, scale in inputs:
+        angles, reason = oracle._unit_circle_roots(samples, scale)
+        full = zeros_by_form(samples, 1)
+        assert reason == ""
+        assert angles.shape == full.shape
+        n_zeros += angles.size
+        np.testing.assert_allclose(angles, full, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(zeros_by_form(samples, 2), full, rtol=0.0, atol=1e-9)
+    assert n_zeros > 0
 
 
 # ---------------------------------------------------------------------------
