@@ -258,6 +258,8 @@ def _validate_params(params: dict, experiment: str) -> dict:
                 raise ConfigurationError(f"$.params.{key} must be a list of {entries}")
         elif not (type(value) in (int, kind) and 0 < value < float("inf")):
             raise ConfigurationError(f"$.params.{key} must be a finite positive {kind.__name__}")
+        elif key == "max_segment" and value < 1e-5:  # a great circle in 6.3e5 segments
+            raise ConfigurationError("$.params.max_segment must be at least 1e-5")
     for key in reads.params & reads.requires:
         if not params.get(key):
             raise ConfigurationError(f"{experiment} needs a non-empty $.params.{key}")

@@ -10,19 +10,22 @@ import numpy as np
 from .errors import DomainError
 
 
-def rotation_from_z(axis: np.ndarray) -> np.ndarray:
-    """A rotation taking e_z to the given unit axis (Rodrigues, minimal twist)."""
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or not np.linalg.norm(axis) > 0.0:
-        raise DomainError("rotation axis must be a nonzero vector in R^3")
-    axis = axis / np.linalg.norm(axis)
-    z = np.array([0.0, 0.0, 1.0])
-    v = np.cross(z, axis)
-    c = float(z @ axis)
-    if np.linalg.norm(v) < 1e-14:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
-    return np.eye(3) + vx + vx @ vx * (1.0 / (1.0 + c))
+def rotation_from_z(axes) -> np.ndarray:
+    """Rotations (n, 3, 3) taking e_z to each axis of an (n, 3) stack of nonzero
+    vectors, normalized (Rodrigues, minimal twist)."""
+    axes = np.asarray(axes, dtype=float)
+    # Row norms as sqrt(x . x) through matmul: they round as np.linalg.norm(x) does.
+    norms = np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0] if axes.ndim == 2 else 0.0
+    if axes.ndim != 2 or axes.shape[1] != 3 or not np.all(norms > 0.0):
+        raise DomainError("rotation axes must be an (n, 3) stack of nonzero vectors")
+    axes = axes / norms
+    v = np.cross([0.0, 0.0, 1.0], axes)
+    pole = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0] < 1e-14
+    vx = np.zeros((axes.shape[0], 3, 3))
+    vx[:, (2, 0, 1), (1, 2, 0)], vx[:, (1, 2, 0), (2, 0, 1)] = v, -v
+    rots = np.eye(3) + vx + vx @ vx * (1.0 / np.where(pole, 1.0, 1.0 + axes[:, 2]))[:, None, None]
+    rots[pole] = np.where(axes[pole, 2, None, None] > 0, np.eye(3), np.diag([1.0, -1.0, -1.0]))
+    return rots
 
 
 @dataclass(frozen=True)
@@ -56,31 +59,9 @@ class SphericalCurve:
         return pts, tang, normals, weights
 
 
-def great_circle(axis=(0.0, 0.0, 1.0)) -> SphericalCurve:
-    """The great circle orthogonal to the given axis."""
-    rot = rotation_from_z(np.asarray(axis, dtype=float))
-
-    def gamma(t):
-        t = np.asarray(t, dtype=float)
-        raw = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t), np.zeros_like(t)], axis=1)
-        return raw @ rot.T
-
-    def dgamma(t):
-        t = np.asarray(t, dtype=float)
-        raw = 2 * np.pi * np.stack(
-            [-np.sin(2 * np.pi * t), np.cos(2 * np.pi * t), np.zeros_like(t)], axis=1)
-        return raw @ rot.T
-
-    return SphericalCurve(gamma, dgamma, length=2.0 * np.pi)
-
-
-def latitude_circle(polar_radius: float, axis=(0.0, 0.0, 1.0)) -> SphericalCurve:
-    """The circle at angular distance polar_radius from the axis point."""
-    rho = float(polar_radius)
-    if not 0.0 < rho < np.pi:
-        raise DomainError("polar radius must lie strictly between 0 and pi")
-    rot = rotation_from_z(np.asarray(axis, dtype=float))
-    s, c = np.sin(rho), np.cos(rho)
+def _circle(s: float, c: float, axis) -> SphericalCurve:
+    """The circle of radius s in the plane at height c along the unit axis."""
+    rot = rotation_from_z([axis])[0]
 
     def gamma(t):
         t = np.asarray(t, dtype=float)
@@ -95,3 +76,16 @@ def latitude_circle(polar_radius: float, axis=(0.0, 0.0, 1.0)) -> SphericalCurve
         return raw @ rot.T
 
     return SphericalCurve(gamma, dgamma, length=2.0 * np.pi * s)
+
+
+def great_circle(axis=(0.0, 0.0, 1.0)) -> SphericalCurve:
+    """The great circle orthogonal to the given axis."""
+    return _circle(1.0, 0.0, axis)
+
+
+def latitude_circle(polar_radius: float, axis=(0.0, 0.0, 1.0)) -> SphericalCurve:
+    """The circle at angular distance polar_radius from the axis point."""
+    rho = float(polar_radius)
+    if not 0.0 < rho < np.pi:
+        raise DomainError("polar radius must lie strictly between 0 and pi")
+    return _circle(np.sin(rho), np.cos(rho), axis)

@@ -195,6 +195,9 @@ class FieldModel:
             if mix.shape[0] != output_dim:
                 raise DomainError("mixing matrix height must equal output_dim")
         self.n_coeffs = sum(mix.shape[1] * basis.n_funcs for mix, basis in self.components)
+        # Output 0's weight x monomial scale: sum |bound_weights * coeffs| bounds |X|.
+        self.bound_weights = np.concatenate([np.kron(mix[0], basis.scales)
+                                             for mix, basis in self.components])
         if coeff_cov is None:
             self.coeff_cov = np.eye(self.n_coeffs)
         else:

@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .curves import rotation_from_z
 from .errors import ConfigurationError, DomainError
 from .estimate import Estimate
 from .fields import (
@@ -277,10 +278,9 @@ def _pulled_back_normals(curve, n: int):
     line of the curve at x is carried to the tangent plane at e_z (the xy
     plane) by mu^{-1}, where lines from different points can be compared.
     """
-    from .curves import rotation_from_z
-
     pts, _, normals, weights = curve.quadrature(n)
-    planar = np.array([(rotation_from_z(x).T @ nu)[:2] for x, nu in zip(pts, normals)])
+    # nu^T mu is (mu^{-1} nu)^T, one batched product for every node.
+    planar = (normals[:, None, :] @ rotation_from_z(pts))[:, 0, :2]
     return planar, weights
 
 

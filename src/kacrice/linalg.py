@@ -75,8 +75,15 @@ class Subspace:
                 raise DomainError("basis rows are not orthonormal; use Subspace.span")
 
     @classmethod
+    def _orthonormal(cls, basis: np.ndarray) -> "Subspace":
+        """Subspace(basis) for rows orthonormal by construction (an SVD's), unchecked."""
+        self = object.__new__(cls)
+        vars(self).update(basis=basis, _complement=None)
+        return self
+
+    @classmethod
     def span(cls, vectors) -> "Subspace":
-        return cls(orthonormalize(np.atleast_2d(np.asarray(vectors, float))))
+        return cls._orthonormal(orthonormalize(np.atleast_2d(np.asarray(vectors, float))))
 
     @property
     def dim(self) -> int:
@@ -100,13 +107,13 @@ class Subspace:
             return self._complement
         n = self.ambient_dim
         if self.dim == 0:
-            comp = Subspace(np.eye(n))
+            comp = Subspace._orthonormal(np.eye(n))
         elif self.dim == n:
-            comp = Subspace(np.zeros((0, n)))
+            comp = Subspace._orthonormal(np.zeros((0, n)))
         else:
             # Trailing right-singular vectors of the basis span the null space.
             _, _, vh = np.linalg.svd(self.basis, full_matrices=True)
-            comp = Subspace(vh[self.dim:])
+            comp = Subspace._orthonormal(vh[self.dim:])
         object.__setattr__(self, "_complement", comp)
         object.__setattr__(comp, "_complement", self)
         return comp
@@ -131,7 +138,7 @@ def _split(V: Subspace, W: Subspace):
 
 def intersect(V: Subspace, W: Subspace) -> Subspace:
     """Numerical V ∩ W with rank thresholding."""
-    return Subspace(_split(V, W)[0])
+    return Subspace._orthonormal(_split(V, W)[0])
 
 
 def principal_angle(V: Subspace, W: Subspace) -> float:
@@ -174,3 +181,10 @@ def sine_angle_lines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
                   for x, y in ((u, u), (v, v), (u, v)))
     cross_sq = np.clip(uu * vv - uv * uv, 0.0, None)
     return np.sqrt(cross_sq / (uu * vv))
+
+
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross products of (n, 3) arrays, rounded as np.cross rounds them
+    (each component one product minus another) without its axis handling."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a.take(i, axis=1) * b.take(j, axis=1) - a.take(j, axis=1) * b.take(i, axis=1)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .estimate import Estimate
 from .fields import FieldModel, Realization, sample
+from .linalg import cross_rows
 
 TRANSVERSALITY_TOL = 1e-8  # |derivative| below which a circle zero is non-transverse
 MAX_EXCLUDED_FRACTION = 0.05  # flagged-sample share above which an MC estimate is flagged
@@ -156,9 +157,7 @@ def _circle_roots(realization: Realization, level: float):
         raise DomainError("circle zero counting needs a scalar field")
     D = max(int(basis.exponents.sum(axis=1).max()) for _, basis in model.components)
     thetas = np.arange(2 * D + 1) * (2.0 * np.pi / (2 * D + 1))
-    # Sum of |mixing weight * monomial scale * coefficient|: a bound on max |f|.
-    weights = np.concatenate([np.kron(mix[0], basis.scales) for mix, basis in model.components])
-    bound = np.abs(weights * realization.coeffs).sum()
+    bound = np.abs(model.bound_weights * realization.coeffs).sum()
     roots, reason = _unit_circle_roots(realization.circle_values(thetas) - level,
                                        abs(level) + bound)
     if not reason and roots.size % 2 == 1:
@@ -314,6 +313,15 @@ def haar_rotation(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
+def _chunk_balls(mids: np.ndarray):
+    """(centres, radii, run) of balls around runs of ceil(sqrt(n)) consecutive
+    rows of mids (n, 3), so that two polylines compare O(n) pairs of balls."""
+    run = math.isqrt(len(mids) - 1) + 1
+    chunks = np.concatenate((mids, mids[-1:].repeat(-len(mids) % run, axis=0))).reshape(-1, run, 3)
+    centres = chunks.mean(axis=1)
+    return centres, np.linalg.norm(chunks - centres[:, None], axis=2).max(axis=1), run
+
+
 class _SegmentGrid:
     """Spatial hash of polyline segment midpoints in cubes of side ``cell``.
 
@@ -321,7 +329,8 @@ class _SegmentGrid:
     ``near`` holds the distinct keys of every cube within one step of a
     stored segment's cube, so one search skips the queries far from all.
     Crossing segments have midpoints in adjacent cubes only if every chord
-    is shorter than ``cell``.
+    is shorter than ``cell``.  ``near_chunks`` culls whole runs of query
+    segments before that search by their bounding balls (``_chunk_balls``).
     """
 
     def __init__(self, points: np.ndarray, cell: float):
@@ -331,6 +340,8 @@ class _SegmentGrid:
         # Key offsets of the 3x3x3 block of cubes around a cube.
         self.shifts = (np.indices((3, 3, 3)).reshape(3, -1).T - 1) @ [self.side**2, self.side, 1]
         mids = 0.5 * (points + np.roll(points, -1, axis=0))
+        self.centres, self.radii, _ = _chunk_balls(mids)
+        self.sq = (self.centres * self.centres).sum(axis=1)
         keys = self._key(mids)
         self.order = np.argsort(keys, kind="stable")
         self.keys_sorted = keys[self.order]
@@ -341,6 +352,14 @@ class _SegmentGrid:
     def _key(self, mids: np.ndarray) -> np.ndarray:
         idx = np.floor((mids + 1.5) / self.cell).astype(np.int64)
         return (idx[:, 0] * self.side + idx[:, 1]) * self.side + idx[:, 2]
+
+    def near_chunks(self, centres: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """Indices of the query balls within reach of a stored ball: midpoints in
+        adjacent cubes are under 2 sqrt(3) cell apart.  The 1e-9 covers the rounding
+        of rotated centres and of |c|^2 + |s|^2 - 2 c.s, far below it at any cell."""
+        reach = radii[:, None] + self.radii + (2.0 * math.sqrt(3.0) * self.cell + 1e-9)
+        dist2 = (centres * centres).sum(axis=1)[:, None] + self.sq - 2.0 * centres @ self.centres.T
+        return np.flatnonzero((dist2 < reach * reach).any(axis=1))
 
     def candidates(self, mids: np.ndarray):
         """Pairs (i, j): query segment i in a cube next to stored segment j's."""
@@ -355,19 +374,25 @@ class _SegmentGrid:
         return ii, self.order[pos]
 
 
-def _count_crossings(p1: np.ndarray, grid: _SegmentGrid):
-    """Transverse intersections of polyline p1 with the gridded polyline.
+def _count_crossings(p1: np.ndarray, rot: np.ndarray, balls, grid: _SegmentGrid):
+    """Transverse intersections of polyline p1 rotated by rot with the gridded polyline.
 
+    Only the runs of p1's segments whose ``balls`` (``_chunk_balls`` of p1's
+    midpoints) ``grid.near_chunks`` keeps are rotated and searched.
     Returns (count, clean): clean is False when a candidate pair sits within
     CROSSING_MARGIN_TOL of tangency, in which case the rotation should be resampled.
     """
-    mids = 0.5 * (p1 + np.roll(p1, -1, axis=0))
-    ii, jj = grid.candidates(mids)
-    a1, b1 = p1[ii], np.roll(p1, -1, axis=0)[ii]
+    centres, radii, run = balls
+    seg = (grid.near_chunks(centres @ rot.T, radii)[:, None] * run + np.arange(run)).ravel()
+    seg = seg[seg < len(p1)]
+    # One product of at least two rows: it rounds each row as p1 @ rot.T does.
+    ends = np.concatenate((p1[seg], p1[(seg + 1) % len(p1)])) @ rot.T
+    ii, jj = grid.candidates(0.5 * (ends[:seg.size] + ends[seg.size:]))
+    a1, b1 = ends[ii], ends[seg.size + ii]
     p2 = grid.points
-    a2, b2 = p2[jj], np.roll(p2, -1, axis=0)[jj]
-    n1 = np.cross(a1, b1)
-    n2 = np.cross(a2, b2)
+    a2, b2 = p2[jj], p2[(jj + 1) % p2.shape[0]]
+    n1 = cross_rows(a1, b1)
+    n2 = cross_rows(a2, b2)
     s1a = np.einsum("ij,ij->i", a2, n1)
     s1b = np.einsum("ij,ij->i", b2, n1)
     s2a = np.einsum("ij,ij->i", a1, n2)
@@ -383,7 +408,7 @@ def _count_crossings(p1: np.ndarray, grid: _SegmentGrid):
     if not straddle.any():
         return 0, True
     # Same-hemisphere check resolves the antipodal ambiguity for short arcs.
-    d = np.cross(n1[straddle], n2[straddle])
+    d = cross_rows(n1[straddle], n2[straddle])
     nrm = np.linalg.norm(d, axis=1, keepdims=True)
     ok_nrm = nrm[:, 0] > 1e-14
     d = np.where(nrm > 0, d / np.where(nrm > 0, nrm, 1.0), d)
@@ -399,10 +424,11 @@ def kinematic_mc(curve1, curve2, n_rotations: int, seed: int,
     """Mean intersection count of a Haar-rotated copy of curve1 with curve2.
 
     Curves are densified to polylines with segments shorter than
-    ``max_segment``; intersections are counted exactly per rotation, and
-    rotations producing a near-tangential crossing are resampled (they form
-    a measure-zero event).  A polyline with a longer chord (a curve of
-    uneven speed) raises ``DomainError``: the cell search would miss crossings.
+    ``max_segment``; crossings are counted exactly per rotation, among the
+    runs of curve1's segments whose bounding balls reach curve2's (see
+    ``_SegmentGrid``), and rotations with a near-tangential crossing are
+    resampled (a measure-zero event).  A longer chord (a curve of uneven
+    speed) raises ``DomainError``: the cell search would miss crossings.
     """
     p1 = curve1.polyline(max_segment)
     p2 = curve2.polyline(max_segment)
@@ -410,12 +436,13 @@ def kinematic_mc(curve1, curve2, n_rotations: int, seed: int,
     if max(chords) > max_segment:
         raise DomainError("a polyline chord exceeds max_segment (uneven curve speed)")
     grid = _SegmentGrid(p2, cell=1.05 * max_segment)
+    balls = _chunk_balls(0.5 * (p1 + np.roll(p1, -1, axis=0)))
     rng = np.random.default_rng(seed)
     counts = np.empty(n_rotations)
     for i in range(n_rotations):
         for _ in range(100):
             rot = haar_rotation(rng)
-            cnt, clean = _count_crossings(p1 @ rot.T, grid)
+            cnt, clean = _count_crossings(p1, rot, balls, grid)
             if clean:
                 counts[i] = cnt
                 break

@@ -486,6 +486,18 @@ def test_kinematic_record_is_pinned(tmp_path):
     assert (tmp_path / "kin.csv").read_bytes() == KINEMATIC_RECORD
 
 
+def test_max_segment_below_floor_exits_2(tmp_path, capsys):
+    cfg = kinematic_config(tmp_path, {"kind": "latitude", "rho": 1.0}, 5, 1, "kin.csv")
+    cfg["params"]["max_segment"] = 1e-6
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "$.params.max_segment" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "kin.csv").exists()
+    cfg["params"]["max_segment"] = 1e-5
+    assert ExperimentConfig.from_dict(cfg).param("max_segment") == 1e-5
+
+
 def test_kinematic_record_x_is_the_rho_used(tmp_path):
     # A latitude curve without rho is built at rho 1.0, so its record is the
     # record of rho 1.0: x = 1.0 and formula 2 sin 1.

@@ -10,12 +10,49 @@ def test_rotation_from_z_maps_pole():
     for _ in range(25):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
-        rot = rotation_from_z(axis)
+        rot = rotation_from_z([axis])[0]
         assert np.allclose(rot @ np.array([0.0, 0.0, 1.0]), axis, atol=1e-12)
         assert np.abs(rot @ rot.T - np.eye(3)).max() < 1e-12
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
-    south = rotation_from_z(np.array([0.0, 0.0, -1.0]))
+    south = rotation_from_z([[0.0, 0.0, -1.0]])[0]
     assert np.allclose(south @ np.array([0.0, 0.0, 1.0]), [0.0, 0.0, -1.0])
+
+
+def rodrigues_one_axis(axis):
+    """The single-axis Rodrigues rotation as the package computed it before
+    rotation_from_z took a stack of axes."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    z = np.array([0.0, 0.0, 1.0])
+    v = np.cross(z, axis)
+    c = float(z @ axis)
+    if np.linalg.norm(v) < 1e-14:
+        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
+    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+    return np.eye(3) + vx + vx @ vx * (1.0 / (1.0 + c))
+
+
+def test_batched_rotation_from_z_equals_one_axis_form_bitwise():
+    rng = np.random.default_rng(7)
+    axes = np.concatenate([
+        rng.standard_normal((200, 3)) * rng.uniform(0.1, 10.0, (200, 1)),
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 3.0], [0.0, 0.0, -0.5],
+         [1e-16, 0.0, 1.0], [0.0, -1e-16, -1.0], [1.0, 0.0, 0.0], [1.0, 2.0, 2.0]],
+    ])
+    rots = rotation_from_z(axes)
+    assert rots.shape == (axes.shape[0], 3, 3)
+    for axis, rot in zip(axes, rots):
+        want = rodrigues_one_axis(axis)
+        assert np.array_equal(rot, want)
+        assert np.array_equal(np.signbit(rot), np.signbit(want))  # zeros keep their sign
+    assert np.array_equal(rotation_from_z(axes[:1]), rots[:1])
+
+
+@pytest.mark.parametrize("axes", [[0.0, 0.0, 1.0], [[0.0, 0.0]], [[0.0, 0.0, 0.0]],
+                                  [[np.nan, 0.0, 1.0]], np.ones((1, 1, 3))])
+def test_rotation_from_z_rejects_bad_axes(axes):
+    with pytest.raises(DomainError):
+        rotation_from_z(axes)
 
 
 def test_great_circle_geometry():

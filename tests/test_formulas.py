@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kacrice import curves
+from kacrice import curves, formulas
 from kacrice.errors import ConfigurationError, DegenerateModelError, DomainError
 from kacrice.fields import (
     EIG_FLOOR,
@@ -373,6 +373,28 @@ def test_kinematic_rhs_latitude_closed_form():
     est = kinematic_rhs_sphere(curves.latitude_circle(rho), curves.great_circle(),
                                n_curve_nodes=48)
     assert est.value == pytest.approx(2.0 * math.sin(rho), rel=1e-3)
+
+
+def pulled_back_normals_per_point(curve, n):
+    """One rotation and one matrix-vector product per node, as the package
+    pulled normals back before it batched them."""
+    pts, _, normals, weights = curve.quadrature(n)
+    planar = np.array([(curves.rotation_from_z([x])[0].T @ nu)[:2]
+                       for x, nu in zip(pts, normals)])
+    return planar, weights
+
+
+@pytest.mark.parametrize("n_curve_nodes", [96, 17])
+def test_kinematic_rhs_equals_per_point_pull_back_bitwise(monkeypatch, n_curve_nodes):
+    pairs = [(curves.latitude_circle(rho), curves.great_circle()) for rho in (0.3, 1.0, 2.5)]
+    pairs += [(curves.great_circle(), curves.great_circle(axis=(0.0, 1.0, 0.0))),
+              (curves.great_circle(), curves.great_circle(axis=(0.0, 0.0, -1.0))),
+              (curves.latitude_circle(0.7, axis=(1.0, -2.0, 0.5)), curves.great_circle())]
+    got = [kinematic_rhs_sphere(c1, c2, n_curve_nodes) for c1, c2 in pairs]
+    monkeypatch.setattr(formulas, "_pulled_back_normals", pulled_back_normals_per_point)
+    want = [kinematic_rhs_sphere(c1, c2, n_curve_nodes) for c1, c2 in pairs]
+    for g, w in zip(got, want):
+        assert (g.value, g.std_error) == (w.value, w.std_error)
 
 
 def test_kinematic_rejects_degenerate_curve():

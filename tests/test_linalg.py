@@ -6,6 +6,7 @@ from kacrice.errors import DomainError
 from kacrice.linalg import (
     Subspace,
     angle_via_projection,
+    cross_rows,
     frame_volume,
     intersect,
     orthonormalize,
@@ -295,3 +296,30 @@ def test_projection_idempotent_and_orthogonal_residual():
         assert np.allclose(V.project(px), px, atol=1e-12)
         residual = x - px
         assert np.abs(V.basis @ residual).max() < 1e-12
+
+
+def test_cross_rows_equals_np_cross_bitwise():
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-8, 8, (500, 1))
+    b = rng.standard_normal((500, 3))
+    b[:5] = a[:5]  # parallel rows: components cancel to signed zeros
+    b[5:10] = 0.0
+    want = np.cross(a, b)
+    assert np.array_equal(cross_rows(a, b), want)
+    assert np.array_equal(np.signbit(cross_rows(a, b)), np.signbit(want))
+    assert cross_rows(a[:0], b[:0]).shape == (0, 3)
+
+
+def test_subspaces_from_svd_skip_the_check_and_outside_bases_keep_it(monkeypatch):
+    checks = []
+    check = Subspace.__post_init__
+    monkeypatch.setattr(Subspace, "__post_init__", lambda self: checks.append(check(self)))
+    V = Subspace.span([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    W = Subspace.span([[1.0, 0.0, 0.0]])
+    assert intersect(V, V.orthogonal_complement()).dim == 0
+    assert np.allclose(V.basis @ V.basis.T, np.eye(2), atol=1e-12)
+    assert checks == []
+    Subspace(W.basis)
+    assert len(checks) == 1
+    with pytest.raises(DomainError, match="orthonormal"):
+        Subspace(np.array([[1.0, 1.0, 0.0]]))

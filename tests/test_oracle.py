@@ -531,21 +531,116 @@ def brute_force_pairs(grid, mids):
             if np.abs(cell_q[i] - cell_s[j]).max() <= 1}
 
 
-@pytest.mark.parametrize("max_segment", [1e-3, 1e-2])
+@pytest.mark.parametrize("max_segment", [1e-3, 1e-2, 0.3])
 def test_segment_grid_candidates_equal_brute_force(max_segment):
+    # The pairs are the same whether every query segment is searched or only
+    # the runs whose bounding balls near_chunks keeps.
     p1 = curves.latitude_circle(1.0).polyline(max_segment)
     grid = oracle._SegmentGrid(curves.great_circle().polyline(max_segment), 1.05 * max_segment)
+    centres, radii, run = oracle._chunk_balls(0.5 * (p1 + np.roll(p1, -1, axis=0)))
     rng = np.random.default_rng(404)
-    total = 0
+    total = culled = 0
     for _ in range(50):
-        q = p1 @ haar_rotation(rng).T
+        rot = haar_rotation(rng)
+        q = p1 @ rot.T
         mids = 0.5 * (q + np.roll(q, -1, axis=0))
         ii, jj = grid.candidates(mids)
         pairs = set(zip(ii.tolist(), jj.tolist()))
         assert len(pairs) == ii.size  # no pair twice
         assert pairs == brute_force_pairs(grid, mids)
         total += ii.size
+        kept = grid.near_chunks(centres @ rot.T, radii)
+        seg = (kept[:, None] * run + np.arange(run)).ravel()
+        seg = seg[seg < len(p1)]
+        ii, jj = grid.candidates(mids[seg])
+        assert set(zip(seg[ii].tolist(), jj.tolist())) == pairs
+        culled += len(p1) - seg.size
     assert total > 0
+    if max_segment < 0.3:
+        assert culled > 25 * len(p1)  # most segments never reach the cube search
+
+
+def test_near_chunks_keeps_midpoints_in_opposite_corners_of_adjacent_cubes():
+    # A one-vertex grid is one stored midpoint with a ball of radius 0.  A
+    # radius-0 query ball at the far corner of a diagonally adjacent cube is
+    # almost 2 sqrt(3) cells away, yet ``candidates`` would pair it.
+    cell = 1.05e-3
+    rng = np.random.default_rng(406)
+    for _ in range(200):
+        signs = rng.choice([-1.0, 1.0], 3)
+        cube = rng.integers(100, 2700, 3).astype(float)
+        low = np.where(signs > 0, 1e-6, 1.0 - 1e-6)  # stored at one corner, query at the other
+        stored = (cube + low) * cell - 1.5
+        query = (cube + signs + 1.0 - low) * cell - 1.5
+        assert np.linalg.norm(query - stored) > 3.46 * cell
+        grid = oracle._SegmentGrid(stored[None], cell)
+        assert grid.candidates(query[None])[0].size == 1
+        assert np.array_equal(grid.near_chunks(query[None], np.zeros(1)), [0])
+
+
+def count_crossings_full_polyline(p1, grid):
+    """Crossings of the rotated polyline p1 with the gridded one, searching
+    every segment of p1, as the package counted them before culling by balls."""
+    mids = 0.5 * (p1 + np.roll(p1, -1, axis=0))
+    ii, jj = grid.candidates(mids)
+    a1, b1 = p1[ii], np.roll(p1, -1, axis=0)[ii]
+    p2 = grid.points
+    a2, b2 = p2[jj], np.roll(p2, -1, axis=0)[jj]
+    n1 = np.cross(a1, b1)
+    n2 = np.cross(a2, b2)
+    s1a = np.einsum("ij,ij->i", a2, n1)
+    s1b = np.einsum("ij,ij->i", b2, n1)
+    s2a = np.einsum("ij,ij->i", a1, n2)
+    s2b = np.einsum("ij,ij->i", b1, n2)
+    scale = np.maximum(np.linalg.norm(n1, axis=1), np.linalg.norm(n2, axis=1))
+    scale = np.where(scale > 0, scale, 1.0)
+    margin = np.minimum.reduce([np.abs(s1a), np.abs(s1b), np.abs(s2a), np.abs(s2b)]) / scale
+    straddle = (s1a * s1b < 0.0) & (s2a * s2b < 0.0)
+    if np.any(margin < oracle.CROSSING_MARGIN_TOL):
+        return 0, False
+    if not straddle.any():
+        return 0, True
+    d = np.cross(n1[straddle], n2[straddle])
+    nrm = np.linalg.norm(d, axis=1, keepdims=True)
+    ok_nrm = nrm[:, 0] > 1e-14
+    d = np.where(nrm > 0, d / np.where(nrm > 0, nrm, 1.0), d)
+    sign1 = np.einsum("ij,ij->i", d, a1[straddle] + b1[straddle])
+    d = d * np.sign(sign1)[:, None]
+    sign2 = np.einsum("ij,ij->i", d, a2[straddle] + b2[straddle])
+    return int(((sign2 > 0.0) & ok_nrm).sum()), True
+
+
+def kinematic_mc_full_polyline(curve1, curve2, n_rotations, seed, max_segment):
+    """(value, SE) of kinematic_mc with every rotation searching all of curve1."""
+    p1, p2 = curve1.polyline(max_segment), curve2.polyline(max_segment)
+    grid = oracle._SegmentGrid(p2, cell=1.05 * max_segment)
+    rng = np.random.default_rng(seed)
+    counts = []
+    while len(counts) < n_rotations:
+        cnt, clean = count_crossings_full_polyline(p1 @ haar_rotation(rng).T, grid)
+        if clean:
+            counts.append(cnt)
+    counts = np.array(counts, dtype=float)
+    return float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(n_rotations))
+
+
+KINEMATIC_PAIRS = {
+    "latitude_0.3": lambda: (curves.latitude_circle(0.3), curves.great_circle()),
+    "latitude_1.0": lambda: (curves.latitude_circle(1.0), curves.great_circle()),
+    "latitude_2.5": lambda: (curves.latitude_circle(2.5), curves.great_circle()),
+    "great_circles": lambda: (curves.great_circle(), curves.great_circle(axis=(0, 1, 0))),
+    "antipodal": lambda: (curves.great_circle(axis=(0, 0, 1)), curves.great_circle(axis=(0, 0, -1))),
+}
+
+
+@pytest.mark.parametrize("max_segment", [1e-3, 1e-2, 0.3])
+@pytest.mark.parametrize("pair", sorted(KINEMATIC_PAIRS))
+def test_kinematic_mc_equals_full_polyline_search(pair, max_segment):
+    c1, c2 = KINEMATIC_PAIRS[pair]()
+    n_rotations = 20 if max_segment == 1e-3 else 60
+    est = kinematic_mc(c1, c2, n_rotations, seed=101, max_segment=max_segment)
+    assert (est.value, est.std_error) == kinematic_mc_full_polyline(
+        c1, c2, n_rotations, 101, max_segment)
 
 
 def test_segment_grid_query_with_nothing_nearby():
