@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import curves, formulas, level_sets, linalg, oracle
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_seed
 from .errors import ConfigurationError, DomainError, KacRiceError
 from .estimate import Estimate
 from .fields import (
@@ -116,10 +116,8 @@ def _run_point_count(cfg: ExperimentConfig):
     y = float(levels[0])
     s0, s1 = _model_sigmas(spec)
     formula = formulas.isotropic_point_count(s0, s1, [y])
-    counter = functools.partial(oracle.count_zeros_circle, level=y)
-    est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
     x = spec["degree"] if spec["kind"] == "kostlan" else len(spec["coeff_mats"]) - 1
-    return [_record("point_count", x, formula, est, cfg.seed)], est.flagged
+    return _circle_counts(cfg, "point_count", [(x, formula, model)], level=y)
 
 
 def _run_sphere_count(cfg: ExperimentConfig):
@@ -178,29 +176,27 @@ def _run_continuity_sweep(cfg: ExperimentConfig):
     d_low, d_high = cfg.model["degrees"]
     if d_low >= d_high:
         raise ConfigurationError("continuity_sweep needs d_low < d_high at $.model.degrees")
-    records = []
-    flagged = False
-    for eps in grid:
-        mats = _mixture_mats(float(eps), d_low, d_high)
-        formula = formulas.mixed_kostlan_count(mats)
-        model = isotropic_model(mats, m=1)
-        est = oracle.mc_expected_count(model, oracle.count_zeros_circle,
-                                       cfg.param("n_realizations"), cfg.seed)
-        records.append(_record("continuity_sweep", float(eps), formula, est, cfg.seed))
-        flagged |= est.flagged
-    return records, flagged
+    mixtures = [_mixture_mats(float(eps), d_low, d_high) for eps in grid]
+    return _circle_counts(cfg, "continuity_sweep", [
+        (eps, formulas.mixed_kostlan_count(mats), isotropic_model(mats, m=1))
+        for eps, mats in zip(grid, mixtures)])
 
 
 def _run_degree_sweep(cfg: ExperimentConfig):
-    grid = cfg.param("degree_grid")
+    return _circle_counts(cfg, "degree_sweep", [
+        (float(d), formulas.isotropic_point_count([[1.0]], [[float(d)]], [0.0]),
+         kostlan_model(1, int(d))) for d in cfg.param("degree_grid")])
+
+
+def _circle_counts(cfg: ExperimentConfig, experiment: str, cases, level: float = 0.0):
+    """One record per case (x, formula, model): the formula against the mean
+    number of solutions of X = level on the circle over realizations of model."""
+    counter = functools.partial(oracle.count_zeros_circle, level=level)
     records = []
     flagged = False
-    for d in grid:
-        formula = formulas.isotropic_point_count([[1.0]], [[float(d)]], [0.0])
-        model = kostlan_model(1, int(d))
-        est = oracle.mc_expected_count(model, oracle.count_zeros_circle,
-                                       cfg.param("n_realizations"), cfg.seed)
-        records.append(_record("degree_sweep", float(d), formula, est, cfg.seed))
+    for x, formula, model in cases:
+        est = oracle.mc_expected_count(model, counter, cfg.param("n_realizations"), cfg.seed)
+        records.append(_record(experiment, x, formula, est, cfg.seed))
         flagged |= est.flagged
     return records, flagged
 
@@ -288,8 +284,11 @@ def write_records(records: list[dict], path: str, fmt: str) -> None:
     else:
         text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write output {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -311,12 +310,11 @@ def _load_config(path: str) -> ExperimentConfig:
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     env_seed = os.environ.get("KACRICE_SEED")
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed, "--seed")
     elif env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise ConfigurationError(f"KACRICE_SEED must be an integer, got {env_seed!r}")
+        with contextlib.suppress(ValueError):
+            env_seed = int(env_seed)
+        cfg.seed = check_seed(env_seed, "KACRICE_SEED")
     if args.out is not None:
         cfg.output["path"] = args.out
     if args.format is not None:

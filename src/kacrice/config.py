@@ -110,9 +110,7 @@ class ExperimentConfig:
         params = _validate_params(raw.get("params", {}), experiment)
         model = _validate_section(raw.get("model", {}), "model", experiment)
         target = _validate_section(raw.get("target", {}), "target", experiment)
-        seed = raw.get("seed", 0)
-        if type(seed) is not int or seed < 0:
-            raise ConfigurationError("seed must be a nonnegative integer at $.seed")
+        seed = check_seed(raw.get("seed", 0), "$.seed")
         output = raw.get("output", {})
         _require_keys(output, "$.output", allowed={"path", "format"})
         output = {"path": "", "format": "csv", **output}
@@ -158,6 +156,13 @@ def _require_keys(obj: dict, path: str, allowed: AbstractSet[str], reader: str =
     unread = [f"{path}.{key}" for key in obj if key not in allowed]
     if unread:
         raise ConfigurationError(f"{reader} does not read {', '.join(unread)}")
+
+
+def check_seed(value, source: str) -> int:
+    """value if it is a nonnegative integer, else a ConfigurationError naming source."""
+    if type(value) is not int or value < 0:
+        raise ConfigurationError(f"seed must be a nonnegative integer at {source}")
+    return value
 
 
 def _int(value, path: str, low: int, high: float = float("inf")) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -26,6 +27,15 @@ class Estimate:
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("std_error must be >= 0")
+
+    @classmethod
+    def from_samples(cls, samples, seed: int, method: str, **flags) -> "Estimate":
+        """The Monte Carlo mean of a sample array, with standard error
+        std(ddof=1) / sqrt(n), 0 below two samples."""
+        n = samples.size
+        se = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return cls(value=float(samples.mean()), std_error=se, n=int(n), seed=seed,
+                   method=method, **flags)
 
     def discrepancy_se(self, other: "Estimate | float") -> float:
         """|difference| in combined standard-error units; inf if both SEs are 0."""

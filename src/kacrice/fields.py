@@ -106,8 +106,7 @@ class MonomialBasis:
     """Scalar monomials x^alpha with per-monomial scaling coefficients.
 
     Evaluation goes through per-variable power tables (cumulative products)
-    instead of float exponentiation; the counting oracles evaluate these in
-    tight loops.
+    instead of float exponentiation.
     """
 
     def __init__(self, exponents: np.ndarray, scales: np.ndarray):
@@ -215,33 +214,24 @@ class FieldModel:
 
     def phi(self, pts: np.ndarray) -> np.ndarray:
         """Basis matrix at points: (N, output_dim, n_coeffs)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        out = np.zeros((n, self.output_dim, self.n_coeffs))
-        col = 0
-        for mix, basis in self.components:
-            b = mix.shape[1]
-            vals = basis.evaluate(pts)  # (N, f)
-            f = basis.n_funcs
-            for ch in range(b):
-                block = vals[:, None, :] * mix[None, :, ch, None]  # (N, k, f)
-                out[:, :, col:col + f] = block
-                col += f
-        return out
+        return self._expand(pts, (), lambda basis, pts: basis.evaluate(pts))
 
     def dphi(self, pts: np.ndarray) -> np.ndarray:
         """Ambient basis gradients: (N, output_dim, n_coeffs, ambient_dim)."""
+        return self._expand(pts, (self.domain.ambient_dim,),
+                            lambda basis, pts: basis.evaluate_and_gradient(pts)[1])
+
+    def _expand(self, pts, tail: tuple, per_basis) -> np.ndarray:
+        """(N, output_dim, n_coeffs, *tail) from per_basis(basis, pts), (N, f, *tail):
+        one block of f columns per channel of each component, times its mixing column."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        out = np.zeros((n, self.output_dim, self.n_coeffs, self.domain.ambient_dim))
+        out = np.zeros((pts.shape[0], self.output_dim, self.n_coeffs, *tail))
         col = 0
         for mix, basis in self.components:
-            b = mix.shape[1]
-            grads = basis.evaluate_and_gradient(pts)[1]  # (N, f, v)
+            vals = per_basis(basis, pts)[:, None]  # (N, 1, f, *tail)
             f = basis.n_funcs
-            for ch in range(b):
-                block = grads[:, None, :, :] * mix[None, :, ch, None, None]
-                out[:, :, col:col + f, :] = block
+            for ch in range(mix.shape[1]):
+                out[:, :, col:col + f] = vals * mix[:, ch].reshape((1, -1, 1) + (1,) * len(tail))
                 col += f
         return out
 
@@ -257,28 +247,6 @@ class FieldModel:
                 vals += bv @ (mix[0, ch] * coeffs[col:col + f])
                 col += f
         return vals
-
-    def scalar_value_and_gradient(self, coeffs: np.ndarray, pts: np.ndarray):
-        """(values (N,), ambient gradients (N, amb)) for scalar fields.
-
-        Fast path used by the counting oracles: contracts directly against
-        the coefficient vector without materializing the basis tensors.
-        """
-        if self.output_dim != 1:
-            raise DomainError("scalar fast path requires output_dim == 1")
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vals = np.zeros(pts.shape[0])
-        grads = np.zeros((pts.shape[0], self.domain.ambient_dim))
-        col = 0
-        for mix, basis in self.components:
-            f = basis.n_funcs
-            bv, bg = basis.evaluate_and_gradient(pts)
-            for ch in range(mix.shape[1]):
-                c = mix[0, ch] * coeffs[col:col + f]
-                vals += bv @ c
-                grads += np.einsum("nfv,f->nv", bg, c)
-                col += f
-        return vals, grads
 
     # -- covariance structure ----------------------------------------------
 
@@ -458,10 +426,6 @@ class Realization:
             return self.model.scalar_value(self.coeffs, pts)
         return self.model.phi(pts) @ self.coeffs
 
-    def value_and_ambient_gradient(self, pts: np.ndarray):
-        """Fused (values, ambient gradients) for scalar fields."""
-        return self.model.scalar_value_and_gradient(self.coeffs, pts)
-
     def circle_values(self, thetas: np.ndarray) -> np.ndarray:
         pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         return self.value(pts)
@@ -470,7 +434,7 @@ class Realization:
         """d/dtheta of a scalar field along the unit circle."""
         pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         tang = np.stack([-np.sin(thetas), np.cos(thetas)], axis=1)
-        g = self.value_and_ambient_gradient(pts)[1]
+        g = np.einsum("nkrv,r->nkv", self.model.dphi(pts), self.coeffs)[:, 0, :]
         return np.sum(g * tang, axis=1)
 
 

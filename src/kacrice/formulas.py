@@ -146,10 +146,7 @@ def isotropic_sphere_count(sigma0, sigma1, W: LevelSetW, m: int,
     k = W.ambient_dim
 
     def evaluate(n: int) -> float:
-        nodes, weights = W.nodes(n)
-        nus = W.framing(nodes)  # (N, k, m)
-        keep = np.all(np.isfinite(nus.reshape(nodes.shape[0], -1)), axis=1)
-        nodes, weights, nus = nodes[keep], weights[keep], nus[keep]
+        nodes, weights, nus = W.framed_nodes(n)  # nus (N, k, m)
         quad = np.einsum("ni,ij,nj->n", nodes, np.linalg.inv(s0), nodes)
         gram = np.einsum("nki,kl,nlj->nij", nus, s1, nus)
         dets = np.linalg.det(gram) if m > 1 else gram[:, 0, 0]
@@ -190,10 +187,7 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
     a, cov = jc.conditional()
     factor = pivoted_cholesky(cov)
 
-    nodes, wts = W.nodes(fiber_nodes)
-    nus = W.framing(nodes)
-    finite = np.all(np.isfinite(nus.reshape(nodes.shape[0], -1)), axis=1)
-    nodes, wts, nus = nodes[finite], wts[finite], nus[finite]  # skip framing-degenerate strata
+    nodes, wts, nus = W.framed_nodes(fiber_nodes)
     if nodes.shape[0] == 0:
         raise ConfigurationError("no usable fiber nodes on the target")
 
@@ -225,9 +219,6 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
         per_sample += contrib
         node_means[j] = np.abs(contrib).sum() / n_samples
 
-    value = float(per_sample.mean())
-    se = float(per_sample.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-
     # Tail audit for truncated non-compact targets: flag if the outermost
     # tenth of the fiber nodes still carries a visible share of the mass.
     # Targets whose nodes all sit at one radius (circles) have no tail.
@@ -241,8 +232,8 @@ def density_point(model: FieldModel, W: LevelSetW, p: np.ndarray,
             flagged = True
             reason = "fiber integral mass has not decayed at the truncation radius"
 
-    return Estimate(value=value, std_error=se, n=n_samples, seed=seed,
-                    method="density_point", flagged=flagged, flag_reason=reason)
+    return Estimate.from_samples(per_sample, seed, "density_point",
+                                 flagged=flagged, flag_reason=reason)
 
 
 def expected_count(model: FieldModel, W: LevelSetW, region: Region,

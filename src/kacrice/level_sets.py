@@ -30,13 +30,18 @@ class LevelSetW:
     fiber_nodes: Optional[Callable[[int], tuple]] = None  # n -> (nodes (N,k), weights (N,))
     volume_in_ball: Optional[Callable[[float], float]] = None
 
-    def nodes(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+    def framed_nodes(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fiber cubature (nodes (N, k), weights (N,), framings (N, k, m)) without
+        the nodes whose framing is not finite (framing-degenerate strata)."""
         if self.fiber_nodes is None:
             raise ConfigurationError(
                 "target has no fiber cubature; supply fiber_nodes for non-point targets"
             )
         pts, wts = self.fiber_nodes(n)
-        return np.atleast_2d(np.asarray(pts, float)), np.asarray(wts, float)
+        pts, wts = np.atleast_2d(np.asarray(pts, float)), np.asarray(wts, float)
+        nus = self.framing(pts)
+        keep = np.all(np.isfinite(nus.reshape(pts.shape[0], -1)), axis=1)
+        return pts[keep], wts[keep], nus[keep]
 
     def validate(self, pts: np.ndarray, tol: float = 1e-10) -> None:
         """Assert the framing is orthonormal and pts lie on W (tests call this)."""

@@ -68,7 +68,6 @@ class Subspace:
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.basis, dtype=float))
         object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "_complement", None)
         if b.shape[0] > 0:
             g = b @ b.T
             if np.abs(g - np.eye(b.shape[0])).max() > 1e-10:
@@ -78,7 +77,7 @@ class Subspace:
     def _orthonormal(cls, basis: np.ndarray) -> "Subspace":
         """Subspace(basis) for rows orthonormal by construction (an SVD's), unchecked."""
         self = object.__new__(cls)
-        vars(self).update(basis=basis, _complement=None)
+        object.__setattr__(self, "basis", basis)
         return self
 
     @classmethod
@@ -103,20 +102,14 @@ class Subspace:
         return (x @ self.basis.T) @ self.basis
 
     def orthogonal_complement(self) -> "Subspace":
-        if self._complement is not None:
-            return self._complement
         n = self.ambient_dim
         if self.dim == 0:
-            comp = Subspace._orthonormal(np.eye(n))
-        elif self.dim == n:
-            comp = Subspace._orthonormal(np.zeros((0, n)))
-        else:
-            # Trailing right-singular vectors of the basis span the null space.
-            _, _, vh = np.linalg.svd(self.basis, full_matrices=True)
-            comp = Subspace._orthonormal(vh[self.dim:])
-        object.__setattr__(self, "_complement", comp)
-        object.__setattr__(comp, "_complement", self)
-        return comp
+            return Subspace._orthonormal(np.eye(n))
+        if self.dim == n:
+            return Subspace._orthonormal(np.zeros((0, n)))
+        # Trailing right-singular vectors of the basis span the null space.
+        _, _, vh = np.linalg.svd(self.basis, full_matrices=True)
+        return Subspace._orthonormal(vh[self.dim:])
 
 
 def _split(V: Subspace, W: Subspace):

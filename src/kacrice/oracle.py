@@ -284,11 +284,10 @@ def mc_expected_count_seeded(counter_by_seed: Callable[[int], CountSample],
         return Estimate(value=float("nan"), std_error=float("inf"), n=0, seed=seed,
                         method="mc_expected_count", flagged=True,
                         flag_reason="all samples unresolved")
-    se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
-    flagged = excluded > MAX_EXCLUDED_FRACTION * n_samples
     reason = f"{excluded}/{n_samples} samples unresolved" if excluded else ""
-    return Estimate(value=float(kept.mean()), std_error=se, n=int(kept.size), seed=seed,
-                    method="mc_expected_count", flagged=flagged, flag_reason=reason)
+    return Estimate.from_samples(kept, seed, "mc_expected_count",
+                                 flagged=excluded > MAX_EXCLUDED_FRACTION * n_samples,
+                                 flag_reason=reason)
 
 
 def mc_expected_count(model: FieldModel, counter: Callable[[Realization], CountSample],
@@ -448,6 +447,4 @@ def kinematic_mc(curve1, curve2, n_rotations: int, seed: int,
                 break
         else:
             raise DomainError("could not draw a clean rotation in 100 attempts")
-    se = float(counts.std(ddof=1) / math.sqrt(n_rotations)) if n_rotations > 1 else 0.0
-    return Estimate(value=float(counts.mean()), std_error=se, n=n_rotations,
-                    seed=seed, method="kinematic_mc")
+    return Estimate.from_samples(counts, seed, "kinematic_mc")

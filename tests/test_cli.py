@@ -123,6 +123,32 @@ def test_seed_flag_and_env_override(tmp_path, monkeypatch):
     assert ",555" in env_out.splitlines()[1]
 
 
+@pytest.mark.parametrize("argv, env, source", [
+    (["--seed", "-1"], None, "--seed"),
+    ([], "-3", "KACRICE_SEED"),
+    ([], "abc", "KACRICE_SEED"),
+])
+def test_bad_seed_override_exits_2(tmp_path, monkeypatch, capsys, argv, env, source):
+    path = write_config(tmp_path, point_count_config(tmp_path, n=5))
+    if env is not None:
+        monkeypatch.setenv("KACRICE_SEED", env)
+    assert main(["run", "--config", path, *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"seed must be a nonnegative integer at {source}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.csv")
+    assert main(["selfcheck", "--out", out]) == 2
+    cfg = dict(point_count_config(tmp_path, n=5), output={"path": out, "format": "csv"})
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"cannot write output {out}") == 2
+    assert "Traceback" not in err
+
+
 def test_signed_count_discrepancy_uses_formula_se(tmp_path):
     # Every transverse signed count is 0, so the oracle SE is 0 and only
     # the formula estimate's SE can scale the discrepancy.
@@ -454,6 +480,11 @@ SIGNED_COUNT_RECORDS = {
     "custom_basis": (CORRELATED_CUSTOM, 8,
                      b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
                      b"signed_count,0.0,0.007274384619366192,0.0,0.0,0.5155116544262263,40,8\n"),
+    # The degree-4/9 mixture 0.8 psi_4 + 0.6 psi_9: a model of two components.
+    "mixed_kostlan": ({"kind": "mixed_kostlan", "m": 1,
+                       "coeff_mats": [[[0.0]]] * 4 + [[[0.8]]] + [[[0.0]]] * 4 + [[[0.6]]]}, 49,
+                      b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+                      b"signed_count,0.0,0.01757918044181507,0.0,0.0,0.3676097216405161,40,49\n"),
 }
 
 
@@ -535,6 +566,30 @@ def test_degree_sweep_formula_column(tmp_path):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     formulas = [float(r.split(",")[2]) for r in rows]
     assert formulas == pytest.approx([2.0, 4.0, 6.0, 8.0, 10.0], abs=1e-12)
+
+
+SWEEP_RECORDS = {
+    "continuity_sweep": (
+        {"model": {"kind": "mixed_kostlan", "degrees": [4, 9]},
+         "params": {"epsilon_grid": [0.3, 1.0], "n_realizations": 200}, "seed": 17},
+        b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+        b"continuity_sweep,0.3,4.69041575982343,4.71,0.12351428619585816,0.15855850185228984,200,17\n"
+        b"continuity_sweep,1.0,6.000000000000001,6.16,0.19197989844521526,0.8334205888001237,200,17\n"),
+    "degree_sweep": (
+        {"params": {"degree_grid": [5, 25], "n_realizations": 200}, "seed": 29},
+        b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+        b"degree_sweep,5.0,4.472135954999579,4.58,0.14976698819756257,0.7202124199635659,200,29\n"
+        b"degree_sweep,25.0,10.0,10.12,0.24704891383923494,0.4857337688118242,200,29\n"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SWEEP_RECORDS))
+def test_sweep_record_is_pinned(tmp_path, experiment):
+    cfg, record = SWEEP_RECORDS[experiment]
+    cfg = dict(cfg, experiment=experiment,
+               output={"path": str(tmp_path / "sweep.csv"), "format": "csv"})
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == record
 
 
 def test_sweep_rejects_non_sweep_experiment(tmp_path):

@@ -242,25 +242,6 @@ def test_same_seed_bit_identical():
     assert not np.array_equal(sample(model, 99).coeffs, sample(model, 100).coeffs)
 
 
-@pytest.mark.parametrize("name, model", [
-    ("kostlan_circle", kostlan_model(1, 25)),
-    ("kostlan_sphere", kostlan_model(2, 4)),
-    ("mixed_1_plus_t", isotropic_model([np.eye(1), np.eye(1)], m=1)),
-    ("correlated_custom", custom_monomial_model(
-        circle_domain(), [[2, 0], [1, 1], [0, 3]],
-        np.array([[2.0, 0.7, 0.1], [0.7, 1.0, 0.3], [0.1, 0.3, 0.5]]))),
-])
-def test_value_and_gradient_equals_dphi_contraction(rng, name, model):
-    # The fused scalar gradient is the contraction of the materialized
-    # basis-gradient tensor with the coefficients, bit for bit.
-    for s in range(5):
-        r = sample(model, s)
-        pts = np.array([random_sphere_point(rng, model.domain.ambient_dim)
-                        for _ in range(17)])
-        ref = np.einsum("nkrv,r->nkv", model.dphi(pts), r.coeffs)[:, 0, :]
-        assert np.array_equal(r.value_and_ambient_gradient(pts)[1], ref)
-
-
 def test_empirical_variance_matches_kernel(rng):
     model = kostlan_model(1, 4)
     x = random_sphere_point(rng, 2)[None, :]

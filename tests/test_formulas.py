@@ -195,8 +195,7 @@ def _loop_density_point(model, W, p, n_samples, fiber_nodes, signed, seed):
     jc = jet_covariance(model, p)
     a, cov = jc.conditional()
     factor = pivoted_cholesky(cov)
-    nodes, wts = W.nodes(fiber_nodes)
-    nus = W.framing(nodes)
+    nodes, wts, nus = W.framed_nodes(fiber_nodes)
     base = np.random.default_rng(seed).standard_normal((n_samples, factor.shape[0])) @ factor.T
     per_sample = np.zeros(n_samples)
     node_means = np.zeros(nodes.shape[0])

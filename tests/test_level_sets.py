@@ -16,7 +16,7 @@ from kacrice.level_sets import (
 
 def test_point_target_structure():
     W = point_target([1.0, -2.0])
-    nodes, weights = W.nodes(16)
+    nodes, weights, _ = W.framed_nodes(16)
     assert nodes.shape == (1, 2) and weights.sum() == 1.0
     W.validate(nodes)
     assert np.allclose(W.phi(nodes), 0.0)
@@ -24,10 +24,9 @@ def test_point_target_structure():
 
 def test_circle_target_nodes_and_framing():
     W = circle_target(2.0)
-    nodes, weights = W.nodes(64)
+    nodes, weights, nus = W.framed_nodes(64)
     assert weights.sum() == pytest.approx(4.0 * math.pi)
     W.validate(nodes)
-    nus = W.framing(nodes)
     # normals point radially: orthogonal to the tangent direction
     tangents = np.stack([-nodes[:, 1], nodes[:, 0]], axis=1) / 2.0
     assert np.abs(np.einsum("nk,nkm->nm", tangents, nus)).max() < 1e-12
@@ -55,7 +54,7 @@ def test_line_segment_volume_saturates():
     W = line_segment_target(2.0)
     assert W.volume_in_ball(1.0) == pytest.approx(2.0)
     assert W.volume_in_ball(5.0) == pytest.approx(4.0)
-    nodes, weights = W.nodes(32)
+    nodes, weights, _ = W.framed_nodes(32)
     W.validate(nodes)
     assert weights.sum() == pytest.approx(4.0)
 
@@ -63,7 +62,7 @@ def test_line_segment_volume_saturates():
 def test_missing_fiber_sampler_is_configuration_error():
     W = linear_subspace_target(3, 1)
     with pytest.raises(ConfigurationError):
-        W.nodes(8)
+        W.framed_nodes(8)
 
 
 def test_synthetic_growth_profile():

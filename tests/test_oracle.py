@@ -242,6 +242,12 @@ def test_signed_count_alternates_to_zero():
     assert cs.diagnostics["n_roots"] == 10
 
 
+def test_circle_derivative_of_harmonic():
+    thetas = np.linspace(0.0, 2.0 * np.pi, 257)
+    derivs = harmonic_realization().circle_derivative(thetas)
+    assert np.abs(derivs - 5.0 * np.cos(5.0 * thetas)).max() < 1e-12
+
+
 def test_signed_count_kostlan_samples():
     model = kostlan_model(1, 7)
     for s in range(50):
