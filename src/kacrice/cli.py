@@ -345,8 +345,11 @@ def main(argv=None) -> int:
                 raise ConfigurationError(
                     "sweep needs a continuity_sweep or degree_sweep experiment")
         cfg = _apply_overrides(cfg, args)
+        path = cfg.output.get("path", "")
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigurationError(f"cannot write output {path}: no such directory")
         code, records = run(cfg)
-        write_records(records, cfg.output.get("path", ""), cfg.output.get("format", "csv"))
+        write_records(records, path, cfg.output.get("format", "csv"))
         return code
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,10 +5,11 @@ trigonometric polynomial (the field itself on the circle, a resultant on the
 sphere), found as the real roots of one real polynomial in u = tan(phi / 2),
 or tan(phi) when it is antipodally symmetric, with phi measured from
 CIRCLE_SHIFT, and exact segment-pair intersection of polylines under
-Haar-random rotations.  Root counts flag a polynomial that vanishes
-identically and roots too close to call, including zeros that the polynomial
-does not cross (a sign check at the midpoints between them), so unresolved
-realizations are observable rather than silent.
+Haar-random rotations.  Root counts read the rounding noise off the samples,
+and flag a polynomial that vanishes identically and roots too close to call,
+including zeros that the polynomial does not cross (a sign check at the
+midpoints between them), so unresolved realizations are observable rather
+than silent.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .linalg import cross_rows
 TRANSVERSALITY_TOL = 1e-8  # |derivative| below which a circle zero is non-transverse
 MAX_EXCLUDED_FRACTION = 0.05  # flagged-sample share above which an MC estimate is flagged
 CROSSING_MARGIN_TOL = 1e-10   # distance to tangency below which a rotation is resampled
-RESULTANT_VANISH_TOL = 1e-10  # share of the scale bound below which a polynomial is 0
+NOISE_FACTOR = 1e4            # multiple of the sampled noise floor below which a coefficient is 0
 REAL_ROOT_TOL = 1e-9          # |log|w|| below which a root counts as real
 AMBIGUOUS_ROOT_TOL = 1e-6     # |log|w|| or root gap below which a root is too close to call
 
@@ -89,32 +90,33 @@ def _t_form(d: int, s: int):
     return ks, t_map
 
 
-def _unit_circle_roots(samples: np.ndarray, scale: float):
+def _unit_circle_roots(samples: np.ndarray, D: int):
     """Zeros of a real trigonometric polynomial p of degree at most D from its
-    values at the 2D + 1 nodes 2 pi j / (2D + 1).
+    values at the N = 4(D + 1) nodes 2 pi j / N.
 
-    The samples give p's Fourier coefficients c_k; those at most
-    RESULTANT_VANISH_TOL * scale (scale bounds the terms that make the
-    samples) are rounding noise.  The top ones would add spurious roots, so p
-    is taken to degree d, the largest k above it.  If every k above it is
-    d mod 2, p(theta + pi) = +-p(theta) and s = 2, else s = 1.  With
-    theta = CIRCLE_SHIFT + phi and u = tan(s phi / 2), (1 + u^2)^(d / s) p is a
-    real polynomial of degree at most 2d / s in u (``_t_form``).  Its roots
-    map to w = -(u - i) / (u + i) = e^{i s phi}; those on the unit circle give
-    the zeros phi = arg(w) / s + j pi, j < s.  CIRCLE_SHIFT keeps zeros at
-    theta = 0 or pi, where simple fields put them, away from u = infinity.
+    The samples give p's Fourier coefficients c_k.  Those above D are rounding
+    noise alone, so a c_k, k <= D, at most NOISE_FACTOR times the largest of
+    them is noise too (as in Aurentz & Trefethen's standardChop).  The top
+    ones would add spurious roots, so p is taken to degree d, the largest k
+    above it.  If every k above it is d mod 2, p(theta + pi) = +-p(theta) and
+    s = 2, else s = 1.  With theta = CIRCLE_SHIFT + phi and u = tan(s phi / 2),
+    (1 + u^2)^(d / s) p is a real polynomial of degree at most 2d / s in u
+    (``_t_form``).  Its roots map to w = -(u - i) / (u + i) = e^{i s phi};
+    those on the unit circle give the zeros phi = arg(w) / s + j pi, j < s.
+    CIRCLE_SHIFT keeps zeros at theta = 0 or pi, where simple fields put
+    them, away from u = infinity.
 
     Returns (sorted zero angles in [0, 2 pi), reason).  The reason is
-    "vanishes identically" when no c_k is above the tolerance, and "roots too
+    "vanishes identically" when no c_k is above the noise, and "roots too
     close to call" when a root off the circle (by |log|w|| / s, in theta, at
     least REAL_ROOT_TOL) or the gap between two zeros is below
     AMBIGUOUS_ROOT_TOL, or when an even number of zeros does not alternate the
     sign of p at the midpoints between them.  It is "" otherwise; an odd
     number of zeros is left to the caller.
     """
-    D = samples.size // 2
-    fourier = np.fft.fft(samples) / samples.size
-    above = np.flatnonzero(np.abs(fourier[:D + 1]) > RESULTANT_VANISH_TOL * scale)
+    fourier = np.fft.rfft(samples) / samples.size
+    noise = np.abs(fourier[D + 1:]).max()
+    above = np.flatnonzero(np.abs(fourier[:D + 1]) > NOISE_FACTOR * noise)
     if above.size == 0:
         return np.zeros(0), "vanishes identically"
     d = int(above[-1])
@@ -150,16 +152,14 @@ def _circle_roots(realization: Realization, level: float):
     reason they are flagged ("" when they are not).
 
     On the unit circle a scalar field whose monomials have total degree at
-    most D is a trigonometric polynomial of degree D, so 2D + 1 samples fix it.
+    most D is a trigonometric polynomial of degree D, sampled at 4(D + 1) nodes.
     """
     model = realization.model
     if model.output_dim != 1:
         raise DomainError("circle zero counting needs a scalar field")
     D = max(int(basis.exponents.sum(axis=1).max()) for _, basis in model.components)
-    thetas = np.arange(2 * D + 1) * (2.0 * np.pi / (2 * D + 1))
-    bound = np.abs(model.bound_weights * realization.coeffs).sum()
-    roots, reason = _unit_circle_roots(realization.circle_values(thetas) - level,
-                                       abs(level) + bound)
+    thetas = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
+    roots, reason = _unit_circle_roots(realization.circle_values(thetas) - level, D)
     if not reason and roots.size % 2 == 1:
         reason = "odd zero count on a closed loop"
     return roots, {"min_separation": _min_separation(roots)}, reason
@@ -239,15 +239,15 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization) -> CountSample:
     sin phi U2 (U1, U2 orthonormal to C) turns the common zeros into the real
     roots of R(phi) = Res_z(f1(u(phi) + z C), f2(u(phi) + z C)), a
     trigonometric polynomial of degree exactly D = d1 d2.  R is sampled at
-    2D + 1 nodes (Sylvester determinants of the z-coefficients, scaled by
-    Hadamard's bound on them), and its zeros (``_unit_circle_roots``) are
-    the common zeros, each projective zero twice (phi and phi + pi).  The
-    sample is flagged when R vanishes identically or its roots are too close
-    to call; ``_RESULTANT_REASONS`` says what each means for the sphere.
+    4(D + 1) nodes (Sylvester determinants of the z-coefficients), and its
+    zeros (``_unit_circle_roots``) are the common zeros, each projective
+    zero twice (phi and phi + pi).  The sample is flagged when R vanishes
+    identically or its roots are too close to call; ``_RESULTANT_REASONS``
+    says what each means for the sphere.
     """
     d1, d2 = _homogeneous_degree(r1), _homogeneous_degree(r2)
     D = d1 * d2
-    phis = np.arange(2 * D + 1) * (2.0 * np.pi / (2 * D + 1))
+    phis = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
     u = np.cos(phis)[:, None] * _SPHERE_PLANE[0] + np.sin(phis)[:, None] * _SPHERE_PLANE[1]
     a, b = _z_coefficients(r1, d1, u)[:, ::-1], _z_coefficients(r2, d2, u)[:, ::-1]
     sylvester = np.zeros((phis.size, d1 + d2, d1 + d2))
@@ -255,8 +255,7 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization) -> CountSample:
         sylvester[:, i, i:i + d1 + 1] = a
     for i in range(d1):
         sylvester[:, d2 + i, i:i + d2 + 1] = b
-    hadamard = np.prod(np.linalg.norm(sylvester, axis=2), axis=1).max()
-    angles, reason = _unit_circle_roots(np.linalg.det(sylvester), hadamard)
+    angles, reason = _unit_circle_roots(np.linalg.det(sylvester), D)
     return CountSample(count=angles.size // 2, seed=r1.seed,
                        diagnostics={"min_separation": _min_separation(angles),
                                     "sphere_count": int(angles.size)},

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kacrice import cli
 from kacrice.cli import main, run, write_records
 from kacrice.config import EXPERIMENTS, ExperimentConfig, PARAM_DEFAULTS
 from kacrice.errors import ConfigurationError
@@ -139,7 +140,11 @@ def test_bad_seed_override_exits_2(tmp_path, monkeypatch, capsys, argv, env, sou
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_unwritable_output_exits_2(tmp_path, capsys):
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    # A missing output directory exits 2 before the experiment runs.
+    ran = []
+    for name in cli._RUNNERS:
+        monkeypatch.setitem(cli._RUNNERS, name, lambda cfg, name=name: ran.append(name))
     out = str(tmp_path / "missing" / "x.csv")
     assert main(["selfcheck", "--out", out]) == 2
     cfg = dict(point_count_config(tmp_path, n=5), output={"path": out, "format": "csv"})
@@ -147,6 +152,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count(f"cannot write output {out}") == 2
     assert "Traceback" not in err
+    assert ran == []
 
 
 def test_signed_count_discrepancy_uses_formula_se(tmp_path):
