@@ -38,7 +38,9 @@ class Estimate:
                    method=method, **flags)
 
     def discrepancy_se(self, other: "Estimate | float") -> float:
-        """|difference| in combined standard-error units; inf if both SEs are 0."""
+        """|difference| in standard-error units: both SEs combined against an
+        Estimate, this one's alone against a float.  With that SE 0 it is 0
+        for equal values and inf otherwise."""
         if isinstance(other, Estimate):
             delta = abs(self.value - other.value)
             se = (self.std_error**2 + other.std_error**2) ** 0.5

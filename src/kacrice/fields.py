@@ -2,9 +2,11 @@
 
 A field is X(x) = Phi(x) c with a fixed basis matrix Phi(x) (output_dim x
 n_coeffs) and a centered Gaussian coefficient vector c ~ N(0, coeff_cov).
-Everything downstream (covariance kernels, jet covariances, Gaussian
-regression, conditioning) is exact linear algebra on that representation;
-sampling has no truncation error.
+Phi(x) is one monomial basis, a column per coefficient, times one mixing
+matrix (``FieldModel``).  Everything downstream (covariance kernels, jet
+covariances, Gaussian regression, conditioning) is exact linear algebra on
+that representation; sampling has no truncation error, and a conditioned
+sample is a realization of the same model with shifted coefficients.
 
 Supported domains are the unit circle S^1 in R^2, the unit sphere S^2 in
 R^3, and the cube [0, 1]^m; points are always given in ambient coordinates.
@@ -138,14 +140,11 @@ class MonomialBasis:
             vals *= tabs[v][self.exponents[:, v]]
         return np.multiply(vals.T, self.scales, order="C")
 
-    def evaluate_and_gradient(self, pts: np.ndarray):
-        """(values, gradients) sharing one set of power tables."""
+    def gradient(self, pts: np.ndarray) -> np.ndarray:
+        """Gradients at points (N, n_vars) -> (N, n_funcs, n_vars)."""
         pts = np.atleast_2d(pts)
         tabs = self._power_tables(pts)
         cols = [tabs[v][self.exponents[:, v]] for v in range(self.n_vars)]
-        vals = cols[0].copy()
-        for v in range(1, self.n_vars):
-            vals *= cols[v]
         out = np.empty((pts.shape[0], self.n_funcs, self.n_vars))
         for j in range(self.n_vars):
             e = self.exponents[:, j]
@@ -154,7 +153,7 @@ class MonomialBasis:
                 if v != j:
                     g *= cols[v]
             out[:, :, j] = g.T * self.scales
-        return np.multiply(vals.T, self.scales, order="C"), out
+        return out
 
 
 def kostlan_basis(n_vars: int, degree: int) -> MonomialBasis:
@@ -176,24 +175,30 @@ def kostlan_basis(n_vars: int, degree: int) -> MonomialBasis:
 class FieldModel:
     """A finite-rank centered Gaussian random field on a domain.
 
-    ``components`` is a list of (mix, basis) pairs: ``mix`` is a (k, b)
-    matrix applied to the b-vector of outputs of ``basis`` (a MonomialBasis
-    replicated over b channels with independent coefficients).  The full
-    coefficient vector concatenates the channels of every component;
-    ``coeff_cov`` defaults to the identity, and a given one must be finite,
-    symmetric and positive semidefinite up to COV_TOL times its largest entry.
+    X(x) = Phi(x) c with Phi(x)[i, j] = mixing[i, j] basis(x)[j]: one
+    MonomialBasis with a column per coefficient times a (k, n_coeffs) matrix.
+    ``components`` lists (mix, basis) pairs, a (k, b) ``mix`` applied to b
+    channels of ``basis`` with independent coefficients; each channel adds the
+    basis's monomials to ``basis`` and its mix column, once per monomial, to
+    ``mixing``.  ``coeff_cov`` defaults to the identity, and a given one must
+    be finite, symmetric and PSD up to COV_TOL times its largest entry.
     """
 
     def __init__(self, domain: Domain, components, output_dim: int,
                  coeff_cov: Optional[np.ndarray] = None):
         self.domain = domain
-        self.components = [(np.atleast_2d(np.asarray(mix, dtype=float)), basis)
-                           for mix, basis in components]
         self.output_dim = output_dim
-        for mix, _ in self.components:
+        exponents, scales, mixing = [], [], []
+        for mix, basis in components:
+            mix = np.atleast_2d(np.asarray(mix, dtype=float))
             if mix.shape[0] != output_dim:
                 raise DomainError("mixing matrix height must equal output_dim")
-        self.n_coeffs = sum(mix.shape[1] * basis.n_funcs for mix, basis in self.components)
+            exponents += [basis.exponents] * mix.shape[1]
+            scales += [basis.scales] * mix.shape[1]
+            mixing.append(np.repeat(mix, basis.n_funcs, axis=1))
+        self.basis = MonomialBasis(np.concatenate(exponents), np.concatenate(scales))
+        self.mixing = np.concatenate(mixing, axis=1)
+        self.n_coeffs = self.mixing.shape[1]
         if coeff_cov is None:
             self.coeff_cov = np.eye(self.n_coeffs)
         else:
@@ -211,39 +216,11 @@ class FieldModel:
 
     def phi(self, pts: np.ndarray) -> np.ndarray:
         """Basis matrix at points: (N, output_dim, n_coeffs)."""
-        return self._expand(pts, (), lambda basis, pts: basis.evaluate(pts))
+        return self.basis.evaluate(np.asarray(pts, dtype=float))[:, None, :] * self.mixing
 
     def dphi(self, pts: np.ndarray) -> np.ndarray:
         """Ambient basis gradients: (N, output_dim, n_coeffs, ambient_dim)."""
-        return self._expand(pts, (self.domain.ambient_dim,),
-                            lambda basis, pts: basis.evaluate_and_gradient(pts)[1])
-
-    def _expand(self, pts, tail: tuple, per_basis) -> np.ndarray:
-        """(N, output_dim, n_coeffs, *tail) from per_basis(basis, pts), (N, f, *tail):
-        one block of f columns per channel of each component, times its mixing column."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros((pts.shape[0], self.output_dim, self.n_coeffs, *tail))
-        col = 0
-        for mix, basis in self.components:
-            vals = per_basis(basis, pts)[:, None]  # (N, 1, f, *tail)
-            f = basis.n_funcs
-            for ch in range(mix.shape[1]):
-                out[:, :, col:col + f] = vals * mix[:, ch].reshape((1, -1, 1) + (1,) * len(tail))
-                col += f
-        return out
-
-    def scalar_value(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """Values (N,) for scalar fields without materializing basis tensors."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        vals = np.zeros(pts.shape[0])
-        col = 0
-        for mix, basis in self.components:
-            bv = basis.evaluate(pts)
-            f = basis.n_funcs
-            for ch in range(mix.shape[1]):
-                vals += bv @ (mix[0, ch] * coeffs[col:col + f])
-                col += f
-        return vals
+        return self.basis.gradient(np.asarray(pts, dtype=float))[:, None] * self.mixing[:, :, None]
 
     # -- covariance structure ----------------------------------------------
 
@@ -375,6 +352,9 @@ def isotropic_model(coeff_mats: Sequence[np.ndarray], m: int = 1) -> FieldModel:
     for a in mats:
         if a.shape != (k, k):
             raise DomainError("all coefficient matrices must be k x k with equal k")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.isfinite(s).all() for s in isotropic_sigmas(mats)):
+            raise DomainError("sum_l A_l A_l^T must be finite")
     domain = unit_sphere(m)
     comps = [(a, kostlan_basis(domain.ambient_dim, ell)) for ell, a in enumerate(mats)]
     return FieldModel(domain, comps, k)
@@ -419,9 +399,9 @@ class Realization:
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         """Field values at points (N, amb) -> (N, k); scalar fields squeeze to (N,)."""
-        if self.model.output_dim == 1:
-            return self.model.scalar_value(self.coeffs, pts)
-        return self.model.phi(pts) @ self.coeffs
+        model = self.model
+        out = model.basis.evaluate(np.asarray(pts, dtype=float)) @ (model.mixing * self.coeffs).T
+        return out[:, 0] if model.output_dim == 1 else out
 
     def circle_values(self, thetas: np.ndarray) -> np.ndarray:
         pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
@@ -475,8 +455,9 @@ class ConditionedField:
         self.q = q
         self.kpp = model.kernel(p, p)
         require_nonsingular(self.kpp, "K(p, p)")
+        self._phi_p = model.phi(self.p[None, :])[0]
         # K(u, p) = phi(u) @ _cov_phi_p: the regression term, (n_coeffs, k).
-        self._cov_phi_p = model.coeff_cov @ model.phi(self.p[None, :])[0].T
+        self._cov_phi_p = model.coeff_cov @ self._phi_p.T
         self._kpp_inv_q = np.linalg.solve(self.kpp, q)
 
     def mean(self, pts: np.ndarray) -> np.ndarray:
@@ -484,24 +465,12 @@ class ConditionedField:
         out = self.model.phi(pts) @ self._cov_phi_p @ self._kpp_inv_q
         return out[:, 0] if self.model.output_dim == 1 else out
 
-    def sample(self, seed) -> "ConditionedRealization":
-        return ConditionedRealization(self, sample(self.model, seed))
-
-
-class ConditionedRealization:
-    def __init__(self, parent: ConditionedField, base: Realization):
-        self.parent = parent
-        self.base = base
-        self.seed = base.seed
-        xp = base.value(parent.p[None, :])
-        delta = parent.q - np.atleast_1d(xp[0])
-        self._kpp_inv_delta = np.linalg.solve(parent.kpp, delta)
-
-    def value(self, pts: np.ndarray) -> np.ndarray:
-        model = self.parent.model
-        phi_u = model.phi(pts)
-        out = phi_u @ self.base.coeffs + phi_u @ self.parent._cov_phi_p @ self._kpp_inv_delta
-        return out[:, 0] if model.output_dim == 1 else out
+    def sample(self, seed) -> Realization:
+        """The realization of ``model`` at seed, with coefficients c shifted to
+        c + Sigma Phi(p)^T K(p, p)^{-1} (q - Phi(p) c): a field of the same model."""
+        c = sample(self.model, seed).coeffs
+        shift = self._cov_phi_p @ np.linalg.solve(self.kpp, self.q - self._phi_p @ c)
+        return Realization(self.model, c + shift, seed)
 
 
 def condition(model: FieldModel, p: np.ndarray, q) -> ConditionedField:

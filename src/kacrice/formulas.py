@@ -89,7 +89,8 @@ def isotropic_point_count(sigma0, sigma1, y) -> float:
     ratio = float(np.linalg.det(np.linalg.solve(s0, s1)))
     if ratio <= 0.0:
         return 0.0
-    quad = float(y @ np.linalg.solve(s0, y))
+    with np.errstate(over="ignore"):  # a quadratic form past the float range counts 0
+        quad = float(y @ np.linalg.solve(s0, y))
     return 2.0 * math.sqrt(ratio) * math.exp(-0.5 * quad)
 
 
@@ -325,15 +326,15 @@ def subgaussian_diagnostic(W: LevelSetW, R_grid: Sequence[float]) -> Subgaussian
         raise ConfigurationError("need at least 3 radii to fit a growth exponent")
     if W.volume_in_ball is None:
         raise ConfigurationError("target carries no ball-volume evaluator")
-    vols = np.array([W.volume_in_ball(r) for r in radii])
-    take = max(radii.size // 2, 3)
-    r_fit, v_fit = radii[-take:], vols[-take:]
-    if np.any(v_fit <= 0.0):
-        raise ConfigurationError("volumes must be positive over the fitted radii")
-    x = r_fit**2
-    y = np.log(v_fit)
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:  # saturated (compact) targets
-        slope = 0.0
-    else:
-        slope = float(np.polyfit(x, y, 1)[0])
+    r_fit = radii[-max(radii.size // 2, 3):]
+    try:
+        with np.errstate(over="raise"):
+            v_fit = np.array([W.volume_in_ball(r) for r in r_fit])
+            if not np.all((v_fit > 0.0) & (v_fit < np.inf)):
+                raise ConfigurationError("volumes must be finite and positive at the fitted radii")
+            x, y = r_fit**2, np.log(v_fit)
+            # A saturated (compact) target has slope 0.
+            slope = 0.0 if np.ptp(x) == 0.0 or np.ptp(y) == 0.0 else float(np.polyfit(x, y, 1)[0])
+    except (OverflowError, FloatingPointError) as exc:
+        raise ConfigurationError("ball volumes or the growth fit overflow a float") from exc
     return SubgaussianFit(eps_hat=slope)

@@ -157,7 +157,7 @@ def _circle_roots(realization: Realization, level: float):
     model = realization.model
     if model.output_dim != 1:
         raise DomainError("circle zero counting needs a scalar field")
-    D = max(int(basis.exponents.sum(axis=1).max()) for _, basis in model.components)
+    D = int(model.basis.exponents.sum(axis=1).max())
     thetas = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
     roots, reason = _unit_circle_roots(realization.circle_values(thetas) - level, D)
     if not reason and roots.size % 2 == 1:
@@ -204,11 +204,11 @@ def _homogeneous_degree(r: Realization) -> int:
     model = r.model
     if model.output_dim != 1 or model.domain.name != "sphere":
         raise DomainError("common-zero counting needs scalar fields on the sphere")
-    degrees = {int(d) for _, basis in model.components for d in basis.exponents.sum(axis=1)}
-    if len(degrees) != 1:
+    degrees = np.unique(model.basis.exponents.sum(axis=1))
+    if degrees.size != 1:
         raise DomainError("common-zero counting needs homogeneous fields "
                           "(monomials of one total degree)")
-    return degrees.pop()
+    return int(degrees[0])
 
 
 def _z_coefficients(r: Realization, d: int, pts: np.ndarray) -> np.ndarray:
@@ -433,7 +433,8 @@ def kinematic_mc(curve1, curve2, n_rotations: int, seed: int,
     chords = [np.linalg.norm(np.roll(p, -1, axis=0) - p, axis=1).max() for p in (p1, p2)]
     if max(chords) > max_segment:
         raise DomainError("a polyline chord exceeds max_segment (uneven curve speed)")
-    grid = _SegmentGrid(p2, cell=1.05 * max_segment)
+    # No cell need be wider than the cube [-1.5, 1.5]^3 that the keys cover.
+    grid = _SegmentGrid(p2, cell=min(1.05 * max_segment, 3.0))
     balls = _chunk_balls(0.5 * (p1 + np.roll(p1, -1, axis=0)))
     rng = np.random.default_rng(seed)
     counts = np.empty(n_rotations)

@@ -326,7 +326,7 @@ def test_experiment_params_lists_what_each_runner_reads(monkeypatch, experiment)
 
 KINDS = ["kostlan", "mixed_kostlan", "custom_basis", "point", "circle", "subspace",
          "exp_growth", "curve_pair", "spline"]
-WRONG_VALUES = [None, "x", True, -1, 1.5, [], [[1, "a"]]]
+WRONG_VALUES = [None, "x", True, -1, 1.5, 1e200, [], [[1, "a"]]]
 # Keys whose default is a large run: dropping them tests nothing the others do not.
 COSTLY_DEFAULTS = {"params", "n_realizations", "n_samples", "region_nodes", "n_rotations",
                    "max_segment"}
@@ -411,15 +411,24 @@ def test_mutated_small_configs_exit_cleanly(tmp_path_factory, data):
     # A circle of radius 2 has no volume in the ball of radius 1, so the
     # growth fit over R_grid [1, 2, 3] is undefined.
     ("subgaussian", "target", {"kind": "circle", "radius": 2.0}, "$.params.R_grid"),
+    # Radii at which e^(R^2), or R^2 and R^j, overflow a float ("$" sets several sections).
+    ("subgaussian", "$", {"target": {"kind": "exp_growth"}, "params": {"R_grid": [1, 2, 27]}},
+     "$.params.R_grid"),
+    ("subgaussian", "$", {"target": {"kind": "subspace"}, "params": {"R_grid": [1, 2, 1e200]}},
+     "$.params.R_grid"),
+    # sum_l A_l A_l^T overflows: the formula would see an infinite covariance.
+    ("point_count", "model",
+     {"kind": "mixed_kostlan", "coeff_mats": [[[1e160]], [[0.0]], [[1e160]]]}, "$.model"),
 ])
 def test_bad_model_target_and_grid_values_exit_2(tmp_path, capsys, experiment, section,
                                                  value, path):
     cfg = {"experiment": experiment, "model": VALID_MODELS.get(experiment, {}),
-           "target": VALID_TARGETS.get(experiment, {}), section: value,
+           "target": VALID_TARGETS.get(experiment, {}),
            "params": VALID_PARAMS[experiment],
            "output": {"path": str(tmp_path / "out.csv"), "format": "csv"}}
+    cfg.update(value if section == "$" else {section: value})
     if section == "params":
-        cfg["params"] = dict(cfg["params"], **value)
+        cfg["params"] = dict(VALID_PARAMS[experiment], **value)
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 2
     err = capsys.readouterr().err
     assert path in err
@@ -457,6 +466,14 @@ LEVEL_POINT_COUNT_RECORD = (
     b"point_count,9.0,4.356894222442145,4.433333333333334,0.0978968735183479,"
     b"0.7808125851625088,300,12\n")
 
+# The degree-4/9 mixture 0.8 psi_4 + 0.6 psi_9 at level 0.3: its one basis
+# holds both degrees' monomials, so its samples sum them in one product.
+MIXED_49 = {"kind": "mixed_kostlan", "m": 1,
+            "coeff_mats": [[[0.0]]] * 4 + [[[0.8]]] + [[[0.0]]] * 4 + [[[0.6]]]}
+MIXED_POINT_COUNT_RECORD = (
+    b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
+    b"point_count,9.0,4.604693637832217,4.584,0.08121008654294505,0.2548161036778934,500,1\n")
+
 
 def test_readme_point_count_record_is_pinned(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -473,6 +490,13 @@ def test_level_point_count_record_is_pinned(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == LEVEL_POINT_COUNT_RECORD
 
 
+def test_mixed_point_count_record_is_pinned(tmp_path):
+    cfg = dict(point_count_config(tmp_path, n=500), seed=1, model=MIXED_49,
+               target={"kind": "point", "y": [0.3]})
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == MIXED_POINT_COUNT_RECORD
+
+
 # A scalar circle model with correlated coefficients: its value and derivative
 # are correlated, so the formula side conditions the jet on the value.
 CORRELATED_CUSTOM = {"kind": "custom_basis", "m": 1, "exponents": [[0, 0], [1, 0], [0, 1]],
@@ -486,9 +510,7 @@ SIGNED_COUNT_RECORDS = {
     "custom_basis": (CORRELATED_CUSTOM, 8,
                      b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
                      b"signed_count,0.0,0.007274384619366192,0.0,0.0,0.5155116544262263,40,8\n"),
-    # The degree-4/9 mixture 0.8 psi_4 + 0.6 psi_9: a model of two components.
-    "mixed_kostlan": ({"kind": "mixed_kostlan", "m": 1,
-                       "coeff_mats": [[[0.0]]] * 4 + [[[0.8]]] + [[[0.0]]] * 4 + [[[0.6]]]}, 49,
+    "mixed_kostlan": (MIXED_49, 49,
                       b"experiment,x,formula,oracle_mean,oracle_se,discrepancy_se,n,seed\n"
                       b"signed_count,0.0,0.01757918044181507,0.0,0.0,0.3676097216405161,40,49\n"),
 }
@@ -533,6 +555,17 @@ def test_max_segment_below_floor_exits_2(tmp_path, capsys):
     assert not (tmp_path / "kin.csv").exists()
     cfg["params"]["max_segment"] = 1e-5
     assert ExperimentConfig.from_dict(cfg).param("max_segment") == 1e-5
+
+
+def test_huge_finite_values_are_answered(tmp_path):
+    # Level 1e200 is never hit: its formula's quadratic form is past the float
+    # range, and the count is 0.  A max_segment of 1e200 draws 16-point polylines.
+    cfg = dict(point_count_config(tmp_path, n=5), target={"kind": "point", "y": 1e200})
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "out.csv").read_text().split("\n")[1].split(",")[2:4] == ["0.0", "0.0"]
+    cfg = kinematic_config(tmp_path, {"kind": "latitude", "rho": 1.0}, 3, 1, "kin.csv")
+    cfg["params"]["max_segment"] = 1e200
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
 
 
 def test_kinematic_record_x_is_the_rho_used(tmp_path):

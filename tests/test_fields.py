@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from kacrice.errors import DegenerateModelError, DomainError
 from kacrice.fields import (
     EIG_FLOOR,
+    FieldModel,
     MonomialBasis,
+    Realization,
     circle_domain,
     condition,
     cube_domain,
@@ -14,6 +16,7 @@ from kacrice.fields import (
     isotropic_model,
     isotropic_sigmas,
     jet_covariance,
+    kostlan_basis,
     kostlan_model,
     pivoted_cholesky,
     regression_matrix,
@@ -22,6 +25,7 @@ from kacrice.fields import (
     sphere_domain,
     sphere_tangent_frames,
 )
+from kacrice.oracle import _circle_roots
 
 
 def random_sphere_point(rng, dim):
@@ -91,8 +95,58 @@ def test_basis_matches_exponent_loop_bitwise(n_vars, degree, n_pts, seed):
     pts = rng.standard_normal((n_pts, n_vars))
     vals, grads = loop_basis(basis, pts)
     assert np.array_equal(basis.evaluate(pts), vals)
-    got_vals, got_grads = basis.evaluate_and_gradient(pts)
-    assert np.array_equal(got_vals, vals) and np.array_equal(got_grads, grads)
+    assert np.array_equal(basis.gradient(pts), grads)
+
+
+# ---------------------------------------------------------------------------
+# One basis times one mixing matrix
+# ---------------------------------------------------------------------------
+
+def component_phi(components, pts):
+    """Reference (phi, dphi): one block of columns per channel of each
+    (mix, basis) component, its basis values times the channel's mix column."""
+    phis, dphis = [], []
+    for mix, basis in components:
+        vals, grads = loop_basis(basis, pts)
+        for ch in range(mix.shape[1]):
+            phis.append(vals[:, None, :] * mix[:, ch, None])
+            dphis.append(grads[:, None] * mix[:, ch, None, None])
+    return np.concatenate(phis, axis=2), np.concatenate(dphis, axis=2)
+
+
+MIXED_49 = [np.zeros((1, 1))] * 4 + [0.8 * np.eye(1)] + [np.zeros((1, 1))] * 4 + [0.6 * np.eye(1)]
+SPHERE_MIXTURE = [np.array([[0.5, 0.3], [-0.2, 0.9]]), np.array([[1.1, -0.4], [0.7, 0.2]]),
+                  np.array([[0.3, 0.0], [0.25, -0.6]])]
+
+
+@pytest.mark.parametrize("name, model, components", [
+    ("kostlan k=2 on S^1", kostlan_model(1, 5, k=2), [(np.eye(2), kostlan_basis(2, 5))]),
+    ("4/9 mixture", isotropic_model(MIXED_49),
+     [(a, kostlan_basis(2, ell)) for ell, a in enumerate(MIXED_49)]),
+    ("S^2 mixture", isotropic_model(SPHERE_MIXTURE, m=2),
+     [(a, kostlan_basis(3, ell)) for ell, a in enumerate(SPHERE_MIXTURE)]),
+])
+def test_phi_and_dphi_equal_component_loop(rng, name, model, components):
+    for n in (7, 300):  # both power-table paths
+        pts = np.array([random_sphere_point(rng, model.domain.ambient_dim) for _ in range(n)])
+        phi, dphi = component_phi(components, pts)
+        assert np.array_equal(model.phi(pts), phi)
+        assert np.array_equal(model.dphi(pts), dphi)
+        r = sample(model, 3)
+        assert np.abs(r.value(pts).reshape(n, -1) - phi @ r.coeffs).max() <= 1e-14
+
+
+def test_isotropic_model_rejects_an_overflowing_kernel():
+    with pytest.raises(DomainError):
+        isotropic_model([[[1e160]], [[0.0]], [[1e160]]])
+
+
+def test_model_is_one_basis_times_one_mixing_matrix():
+    model = FieldModel(circle_domain(), [(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                          kostlan_basis(2, 1))], 2)
+    assert model.basis.n_funcs == model.n_coeffs == 4
+    assert np.array_equal(model.basis.exponents, [[1, 0], [0, 1], [1, 0], [0, 1]])
+    assert np.array_equal(model.mixing, [[1.0, 1.0, 2.0, 2.0], [3.0, 3.0, 4.0, 4.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +368,19 @@ def test_condition_interpolates_exactly(rng):
     for s in range(5):
         z = cf.sample(s)
         assert abs(z.value(p[None, :])[0] - 1.0) < 1e-12
+
+
+def test_conditioned_sample_is_a_realization_with_a_zero_at_p(rng):
+    model = kostlan_model(1, 6)
+    p = random_sphere_point(rng, 2)
+    angle = np.arctan2(p[1], p[0])
+    cf = condition(model, p, 0.0)
+    for s in range(50):
+        z = cf.sample(s)
+        assert type(z) is Realization and z.model is model
+        roots, _, reason = _circle_roots(z, 0.0)
+        assert reason == ""
+        assert np.abs(np.angle(np.exp(1j * (roots - angle)))).min() < 1e-12
 
 
 def test_condition_zero_value(rng):

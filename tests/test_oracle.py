@@ -156,15 +156,12 @@ def exact_circle_count(realization, level) -> int:
     Sturm chain keeps positive multiples of its members, made primitive.
     """
     model = realization.model
-    D = max(int(b.exponents.sum(axis=1).max()) for _, b in model.components)
+    basis = model.basis
+    D = int(basis.exponents.sum(axis=1).max())
     terms = [(-Fraction(level), 0, 0)]
-    col = 0
-    for mix, basis in model.components:
-        for ch in range(mix.shape[1]):
-            for e, scale in zip(basis.exponents, basis.scales):
-                c = Fraction(mix[0, ch]) * Fraction(scale) * Fraction(realization.coeffs[col])
-                terms.append((c, int(e[0]), int(e[1])))
-                col += 1
+    for e, scale, mix, coeff in zip(basis.exponents, basis.scales, model.mixing[0],
+                                    realization.coeffs):
+        terms.append((Fraction(mix) * Fraction(scale) * Fraction(coeff), int(e[0]), int(e[1])))
     denom = math.lcm(*(c.denominator for c, _, _ in terms))
     P = [0] * (2 * D + 1)
     for c, a, b in terms:
