@@ -13,19 +13,23 @@ values, where the preimage count / level-set length is allowed to jump;
 inside a panel the integrand is smooth and Gauss-Legendre converges fast.
 Preimages are located by sign-change bisection on a fixed uniform grid
 (4096 cells, refined to 1e-12), level sets by marching squares with the
-crossing points polished onto the level set by Newton steps.
+crossing points polished onto the level set by Newton steps.  An interval
+or chart range (lo, hi) needs lo < hi; others raise DomainError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 
 BISECT_TOL = 1e-12  # bracket width at which root bisection stops
+AREA_CELLS = 4096  # grid cells of the area checker's sign-change search
+AREA_GL_ORDER = 64  # Gauss-Legendre nodes per panel, both sides of the area check
+COAREA_GL_ORDER = 96  # Gauss-Legendre nodes per axis of the coarea left side
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,13 @@ def _bisect(func, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
+def _increasing(pair, name: str) -> tuple[float, float]:
+    lo, hi = float(pair[0]), float(pair[1])
+    if not lo < hi:
+        raise DomainError(f"{name} must be increasing, got ({lo}, {hi})")
+    return lo, hi
+
+
 def _merge_breaks(values, lo, hi, tol):
     vals = np.concatenate([[lo, hi], np.asarray(values, dtype=float)])
     vals = vals[(vals >= lo - tol) & (vals <= hi + tol)]
@@ -81,15 +92,14 @@ def area_formula_check(
     fprime: Callable[[np.ndarray], np.ndarray],
     weight: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
-    n_cells: int = 4096,
-    gl_order: int = 64,
 ) -> CheckPair:
     """Check  ∫ g|f'| dx  ==  ∫ (Σ_{p in f^{-1}(q)} g(p)) dq  on an interval.
 
-    ``f``, ``fprime`` and ``weight`` must accept ndarray arguments.
+    ``f``, ``fprime`` and ``weight`` must accept ndarray arguments; the
+    interval (a, b) must have a < b.
     """
-    a, b = float(interval[0]), float(interval[1])
-    xs = np.linspace(a, b, n_cells + 1)
+    a, b = _increasing(interval, "interval")
+    xs = np.linspace(a, b, AREA_CELLS + 1)
     fx = f(xs)
     fpx = fprime(xs)
     if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fpx))):
@@ -107,7 +117,7 @@ def area_formula_check(
     x_panels = _merge_breaks(crit, a, b, tol=1e-12 * max(b - a, 1.0))
     lhs = 0.0
     for lo, hi in zip(x_panels[:-1], x_panels[1:]):
-        xg, wg = _gauss_panel(lo, hi, gl_order)
+        xg, wg = _gauss_panel(lo, hi, AREA_GL_ORDER)
         lhs += float(np.sum(wg * weight(xg) * np.abs(fprime(xg))))
 
     # Right side: panels split at critical values, where the count jumps.
@@ -118,7 +128,7 @@ def area_formula_check(
     scale = max(np.abs(fx).max(), 1.0)
     rhs = 0.0
     for lo, hi in zip(q_panels[:-1], q_panels[1:]):
-        qg, wq = _gauss_panel(lo, hi, gl_order)
+        qg, wq = _gauss_panel(lo, hi, AREA_GL_ORDER)
         sums = np.empty_like(qg)
         for idx, q in enumerate(qg):
             s = fx - q
@@ -250,10 +260,10 @@ def _segment_endpoints(S, xs, ys, f, q):
     return np.concatenate(p_list), np.concatenate(q_list)
 
 
-def _project_to_level(points, f, grad_f, q, scale, max_iter=30):
-    """Newton-project points onto {f = q} along the chart gradient."""
+def _project_to_level(points, f, grad_f, q, scale):
+    """Newton-project points onto {f = q} along the chart gradient (at most 30 steps)."""
     pts = points.copy()
-    for _ in range(max_iter):
+    for _ in range(30):
         r = f(pts[:, 0], pts[:, 1]) - q
         if np.abs(r).max() < 1e-13 * scale:
             break
@@ -271,21 +281,21 @@ def coarea_formula_check(
     weight: Callable,
     domain: ChartDomain,
     n_grid: int = 768,
-    gl_order_area: int = 96,
     gl_order_q: int = 48,
-    breakpoints: Sequence[float] = (),
 ) -> CheckPair:
     """Check  ∫∫ g Jf dA  ==  ∫ (∫_{f^{-1}(q)} g ds) dq  on a chart domain.
 
     ``f(x, y)``, ``grad_f(x, y) -> (f_x, f_y)`` and ``weight(x, y)`` take
     ndarray arguments in chart coordinates; Jf and all lengths/areas are
-    measured with the domain's metric scale factors.
+    measured with the domain's metric scale factors.  Both chart ranges must
+    be increasing.
     """
-    (x0, x1), (y0, y1) = domain.x_range, domain.y_range
+    x0, x1 = _increasing(domain.x_range, "x range")
+    y0, y1 = _increasing(domain.y_range, "y range")
 
     # Left side: tensor Gauss-Legendre of g * |grad f|_metric * area element.
-    xg, wx = _gauss_panel(x0, x1, gl_order_area)
-    yg, wy = _gauss_panel(y0, y1, gl_order_area)
+    xg, wx = _gauss_panel(x0, x1, COAREA_GL_ORDER)
+    yg, wy = _gauss_panel(y0, y1, COAREA_GL_ORDER)
     X, Y = np.meshgrid(xg, yg, indexing="ij")
     fx_, fy_ = grad_f(X, Y)
     h1, h2 = domain.factors(X, Y)
@@ -311,8 +321,8 @@ def coarea_formula_check(
     rng = max(q_hi - q_lo, 1e-30)
     f_scale = max(abs(q_lo), abs(q_hi), 1.0)
 
-    # Breakpoints: user-supplied, corner values, and boundary-edge criticals.
-    breaks = list(breakpoints)
+    # Breakpoints: corner values and boundary-edge criticals.
+    breaks = []
     for edge_vals in (F[:, 0], F[:, -1], F[0, :], F[-1, :]):
         breaks.extend(_edge_breakpoints(edge_vals, rng))
     q_panels = _merge_breaks(breaks, q_lo, q_hi, tol=1e-9 * rng)

@@ -45,8 +45,8 @@ class SphericalCurve:
         n = max(int(np.ceil(self.length / max_segment)), 16)
         return self.points(n)
 
-    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Midpoint nodes, unit tangents, inward normals in T S^2, arc weights."""
+    def quadrature(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Midpoint nodes, inward normals in T S^2, arc weights."""
         t = (np.arange(n) + 0.5) / n
         pts = self.gamma(t)
         vel = self.dgamma(t)
@@ -56,7 +56,7 @@ class SphericalCurve:
         tang = vel / speed[:, None]
         normals = np.cross(pts, tang)  # unit, tangent to the sphere, normal to the curve
         weights = speed / n
-        return pts, tang, normals, weights
+        return pts, normals, weights
 
 
 def _circle(s: float, c: float, axis) -> SphericalCurve:

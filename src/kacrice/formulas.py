@@ -35,7 +35,6 @@ from .fields import (
     require_nonsingular,
 )
 from .level_sets import LevelSetW, unit_ball_volume
-from .linalg import sine_angle_lines
 from .quadrature import Region
 
 # Volume of SO(3) under the bi-invariant metric scaled so that the orbit map
@@ -270,7 +269,7 @@ def _pulled_back_normals(curve, n: int):
     line of the curve at x is carried to the tangent plane at e_z (the xy
     plane) by mu^{-1}, where lines from different points can be compared.
     """
-    pts, _, normals, weights = curve.quadrature(n)
+    pts, normals, weights = curve.quadrature(n)
     # nu^T mu is (mu^{-1} nu)^T, one batched product for every node.
     planar = (normals[:, None, :] @ rotation_from_z(pts))[:, 0, :2]
     return planar, weights
@@ -290,11 +289,17 @@ def kinematic_rhs_sphere(curve1, curve2, n_curve_nodes: int = 96) -> Estimate:
         b, wb = _pulled_back_normals(curve2, n)
         t = 2.0 * math.pi * (np.arange(KINEMATIC_FRAME_NODES) + 0.5) / KINEMATIC_FRAME_NODES
         ct, st = np.cos(t), np.sin(t)
-        # b rotated by every frame angle: (ny, nt, 2)
-        brot = np.stack([b[:, 0, None] * ct - b[:, 1, None] * st,
-                         b[:, 0, None] * st + b[:, 1, None] * ct], axis=2)
-        # Unnormalized fiber integral, one row of a at a time: (ny, nt) temporaries.
-        sigma_bar = 2.0 * math.pi * np.stack([sine_angle_lines(ai, brot).mean(axis=1) for ai in a])
+        # b rotated by every frame angle, one (ny, nt) array per component.
+        bx = b[:, 0, None] * ct - b[:, 1, None] * st
+        by = b[:, 0, None] * st + b[:, 1, None] * ct
+        bb = bx * bx + by * by
+        # |sin| of each line angle by Lagrange's identity, one row of a at a time.
+        rows = []
+        for ax, ay in a:
+            aabb = (ax * ax + ay * ay) * bb
+            ab = ax * bx + ay * by
+            rows.append(np.sqrt(np.clip(aabb - ab * ab, 0.0, None) / aabb).mean(axis=1))
+        sigma_bar = 2.0 * math.pi * np.stack(rows)
         return float(wa @ sigma_bar @ wb) / VOL_SO3
 
     full = evaluate(n_curve_nodes)

@@ -43,16 +43,16 @@ class LevelSetW:
         keep = np.all(np.isfinite(nus.reshape(pts.shape[0], -1)), axis=1)
         return pts[keep], wts[keep], nus[keep]
 
-    def validate(self, pts: np.ndarray, tol: float = 1e-10) -> None:
-        """Assert the framing is orthonormal and pts lie on W (tests call this)."""
+    def validate(self, pts: np.ndarray) -> None:
+        """Assert, to 1e-10, that pts lie on W and the framing is orthonormal (tests call this)."""
         pts = np.atleast_2d(pts)
         vals = np.atleast_2d(self.phi(pts))
-        if np.abs(vals).max() > tol:
+        if np.abs(vals).max() > 1e-10:
             raise DomainError("fiber nodes do not lie on the level set")
         nus = self.framing(pts)
         m = self.codim
         gram = np.einsum("nki,nkj->nij", nus, nus)
-        if np.abs(gram - np.eye(m)).max() > tol:
+        if np.abs(gram - np.eye(m)).max() > 1e-10:
             raise DomainError("normal framing columns are not orthonormal")
 
 

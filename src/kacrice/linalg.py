@@ -40,11 +40,11 @@ def frame_volume(frame) -> float:
     return float(np.prod(s))
 
 
-def orthonormalize(vectors: np.ndarray, drop_tol: float = TAU_RANK) -> np.ndarray:
+def orthonormalize(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (rows) of the span of the input rows, by thin SVD.
 
-    Directions whose singular value is at most ``drop_tol`` times the
-    largest input row norm are treated as dependent and dropped.  Returns
+    Directions whose singular value is at most TAU_RANK times the largest
+    input row norm are treated as dependent and dropped.  Returns
     an array of orthonormal rows (possibly empty, shape (0, n)).
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
@@ -52,7 +52,7 @@ def orthonormalize(vectors: np.ndarray, drop_tol: float = TAU_RANK) -> np.ndarra
     if scale == 0.0:
         return np.zeros((0, v.shape[1]))
     _, s, vh = np.linalg.svd(v, full_matrices=False)
-    return vh[:int(np.count_nonzero(s > drop_tol * scale))]
+    return vh[:int(np.count_nonzero(s > TAU_RANK * scale))]
 
 
 # ---------------------------------------------------------------------------
@@ -155,25 +155,6 @@ def angle_via_projection(V: Subspace, W: Subspace) -> float:
         raise DomainError("angle_via_projection requires W not contained in V")
     vol = frame_volume(w - V.project(w))
     return min(vol, 1.0) if vol > 0.0 else float(vol)
-
-
-def sine_angle_lines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|sin| of the angle between the lines spanned by u and v, vectorized.
-
-    ``u`` and ``v`` are arrays of row vectors with matching broadcast shape
-    (..., n).  Equals principal_angle(span u, span v) for nonzero vectors
-    spanning distinct lines, and 1.0 for identical lines by the containment
-    convention; this helper returns 0.0 there (callers in quadrature loops
-    never hit the measure-zero coincident case).
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    # Sums run left to right, one component at a time: np.sum's order below
-    # 8 terms, without broadcasting u and v to (..., n) first.
-    uu, vv, uv = (sum(x[..., k] * y[..., k] for k in range(u.shape[-1]))
-                  for x, y in ((u, u), (v, v), (u, v)))
-    cross_sq = np.clip(uu * vv - uv * uv, 0.0, None)
-    return np.sqrt(cross_sq / (uu * vv))
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -407,13 +407,10 @@ def _count_crossings(p1: np.ndarray, rot: np.ndarray, balls, grid: _SegmentGrid)
         return 0, True
     # Same-hemisphere check resolves the antipodal ambiguity for short arcs.
     d = cross_rows(n1[straddle], n2[straddle])
-    nrm = np.linalg.norm(d, axis=1, keepdims=True)
-    ok_nrm = nrm[:, 0] > 1e-14
-    d = np.where(nrm > 0, d / np.where(nrm > 0, nrm, 1.0), d)
     sign1 = np.einsum("ij,ij->i", d, a1[straddle] + b1[straddle])
     d = d * np.sign(sign1)[:, None]
     sign2 = np.einsum("ij,ij->i", d, a2[straddle] + b2[straddle])
-    hits = (sign2 > 0.0) & ok_nrm
+    hits = (sign2 > 0.0) & (np.linalg.norm(d, axis=1) > 1e-14)
     return int(hits.sum()), True
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kacrice.area_coarea import ChartDomain, area_formula_check, coarea_formula_check
-from kacrice.errors import NumericError
+from kacrice.errors import DomainError, NumericError
 
 ONE = lambda *args: np.ones_like(np.asarray(args[0], dtype=float))
 
@@ -46,6 +46,11 @@ def test_area_rejects_non_finite():
     with pytest.raises(NumericError):
         area_formula_check(lambda x: 1.0 / (x - 0.5), lambda x: -1.0 / (x - 0.5) ** 2,
                            ONE, (0.0, 1.0))
+
+
+def test_area_rejects_decreasing_interval():
+    with pytest.raises(DomainError):
+        area_formula_check(lambda x: 2 * x, lambda x: 2 + 0 * x, ONE, (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -107,3 +112,14 @@ def test_coarea_flags_vanishing_jacobian():
                                 lambda x, y: (np.zeros_like(x), np.zeros_like(y)),
                                 ONE, dom, n_grid=64, gl_order_q=4)
     assert pair.flagged
+
+
+@pytest.mark.parametrize("f, grad_f, dom", [
+    (lambda x, y: x + y, lambda x, y: (np.ones_like(x), np.ones_like(y)),
+     ChartDomain.rectangle((1, 0), (0, 1))),
+    (lambda r, t: r**2 + 0 * t, lambda r, t: (2 * r, np.zeros_like(t)),
+     ChartDomain.polar_annulus(2.0, 1.0)),
+], ids=["rectangle_decreasing_x", "annulus_inner_above_outer"])
+def test_coarea_rejects_decreasing_ranges(f, grad_f, dom):
+    with pytest.raises(DomainError):
+        coarea_formula_check(f, grad_f, ONE, dom)

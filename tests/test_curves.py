@@ -62,7 +62,7 @@ def test_great_circle_geometry():
     axis = np.array([1.0, 2.0, 2.0]) / 3.0
     assert np.abs(pts @ axis).max() < 1e-12
     # quadrature weights recover the length
-    _, _, _, w = c.quadrature(128)
+    _, _, w = c.quadrature(128)
     assert w.sum() == pytest.approx(2.0 * np.pi)
 
 
@@ -72,7 +72,7 @@ def test_latitude_circle_geometry():
     pts = c.points(64)
     assert np.allclose(pts[:, 2], np.cos(rho))
     assert c.length == pytest.approx(2.0 * np.pi * np.sin(rho))
-    _, _, normals, w = c.quadrature(64)
+    _, normals, w = c.quadrature(64)
     assert w.sum() == pytest.approx(c.length)
     # curve normals are tangent to the sphere and orthogonal to the velocity
     t = (np.arange(64) + 0.5) / 64

@@ -11,7 +11,6 @@ from kacrice.linalg import (
     intersect,
     orthonormalize,
     principal_angle,
-    sine_angle_lines,
 )
 
 
@@ -218,37 +217,6 @@ def test_projection_form_lines_at_pi_over_four():
     W = Subspace.span([[1.0, 1.0]])
     assert angle_via_projection(V, W) == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
 
-
-def test_sine_angle_lines_matches_principal_angle():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        expected = principal_angle(Subspace.span([u]), Subspace.span([v]))
-        assert sine_angle_lines(u, v) == pytest.approx(expected, abs=1e-10)
-
-
-
-def sine_angle_lines_np_sum(u, v):
-    """The np.sum form of sine_angle_lines, with (..., n) products."""
-    uu = np.sum(u * u, axis=-1)
-    vv = np.sum(v * v, axis=-1)
-    uv = np.sum(u * v, axis=-1)
-    return np.sqrt(np.clip(uu * vv - uv * uv, 0.0, None) / (uu * vv))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_sine_angle_lines_bitwise_equals_np_sum_form(n):
-    rng = np.random.default_rng(31 + n)
-    # The kinematic formula's shapes: all rows of a at once, one row of a,
-    # and plain stacks of pairs.
-    for ushape, vshape in (((6, 1, 1), (1, 5, 16)), ((), (5, 16)), ((40,), (40,)), ((), ())):
-        u = rng.standard_normal(ushape + (n,)) * 10.0 ** rng.uniform(-3, 3, ushape + (n,))
-        v = rng.standard_normal(vshape + (n,)) * 10.0 ** rng.uniform(-3, 3, vshape + (n,))
-        got, want = sine_angle_lines(u, v), sine_angle_lines_np_sum(u, v)
-        assert np.shape(got) == want.shape
-        assert np.array_equal(got, want)
 
 def test_hadamard_bound_for_orthonormal_blocks():
     rng = np.random.default_rng(23)
