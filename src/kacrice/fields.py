@@ -14,11 +14,11 @@ R^3, and the cube [0, 1]^m; points are always given in ambient coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DegenerateModelError, DomainError
 
@@ -159,12 +159,9 @@ class MonomialBasis:
 def kostlan_basis(n_vars: int, degree: int) -> MonomialBasis:
     """Degree-d homogeneous monomials with square-root multinomial weights."""
     exps = _monomial_exponents(n_vars, degree)
-    from math import factorial
-    logs = np.array([
-        0.5 * (np.log(float(factorial(degree)))
-               - sum(np.log(float(factorial(a))) for a in row))
-        for row in exps
-    ])
+    # log a! of the exact integer: float(a!) overflows from a = 171 on.
+    log_fact = np.array([math.log(math.factorial(a)) for a in range(degree + 1)])
+    logs = np.array([0.5 * (log_fact[degree] - sum(log_fact[row])) for row in exps])
     return MonomialBasis(exps, np.exp(logs))
 
 
@@ -296,14 +293,28 @@ def pivoted_cholesky(cov: np.ndarray) -> np.ndarray:
 
     Uses LAPACK's pivoted Cholesky and clamps the numerically-semidefinite
     trailing block to zero, so degenerate test covariances work unchanged.
+    A diagonal cov (every Kostlan model) replays dpstrf's pivots and rank on
+    its diagonal, bit for bit, so scipy is imported only for correlated ones.
     A cov that F F^T misses by over FACTOR_TOL (relative) raises DegenerateModelError.
     """
     a = np.asarray(cov, dtype=float)
     n = a.shape[0]
     if n == 0:
         return a.copy()
-    c, piv, rank, _ = lapack.dpstrf(a, lower=1)
-    c = np.tril(c)
+    if a.tobytes() == np.diag(np.diagonal(a)).tobytes():  # +0.0 off it: dpstrf keeps a -0.0
+        d, c, piv, rank = np.diagonal(a).tolist(), np.zeros((n, n)), np.arange(1, n + 1), 0
+        stop = n * 2.0 ** -53 * max(d)  # dpstrf's n * dlamch('E') * max
+        while rank < n:
+            j = d.index(max(d[rank:]), rank)  # dpstrf pivots on the first maximum
+            if not d[j] > (stop if rank else 0.0):  # and tests its first pivot against 0
+                break
+            d[rank], d[j], piv[rank], piv[j] = d[j], d[rank], piv[j], piv[rank]
+            c[rank, rank] = math.sqrt(d[rank])
+            rank += 1
+    else:
+        from scipy.linalg import lapack
+        c, piv, rank, _ = lapack.dpstrf(a, lower=1)
+        c = np.tril(c)
     c[:, rank:] = 0.0
     f = c[np.argsort(piv - 1)]
     if not np.abs(f @ f.T - a).max() <= FACTOR_TOL * np.abs(a).max():

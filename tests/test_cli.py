@@ -362,6 +362,22 @@ def test_mutated_small_configs_exit_cleanly(tmp_path_factory, data):
         assert ("$.unread" if section == "$" else f"$.{section}.unread") in err.getvalue()
 
 
+@pytest.mark.parametrize("experiment, section, value, x", [
+    ("point_count", "model", dict(KOSTLAN, degree=200), "200.0"),
+    ("degree_sweep", "params", {"n_realizations": 5, "degree_grid": [171]}, "171.0"),
+])
+def test_degrees_past_float_factorials_are_answered(tmp_path, capsys, experiment, section,
+                                                    value, x):
+    # 171! is past the float range; the Kostlan weights take log a! of the exact integer.
+    cfg = {"experiment": experiment, "model": VALID_MODELS.get(experiment, {}),
+           "target": VALID_TARGETS.get(experiment, {}), "params": VALID_PARAMS[experiment],
+           "seed": 3, "output": {"path": str(tmp_path / "out.csv"), "format": "csv"}}
+    cfg[section] = value
+    assert main(["run", "--config", write_config(tmp_path, cfg)]) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "out.csv").read_text().splitlines()[1].split(",")[:2] == [experiment, x]
+
+
 @pytest.mark.parametrize("experiment, section, value, path", [
     ("point_count", "model", dict(KOSTLAN, degree="x"), "$.model.degree"),
     ("point_count", "model", dict(KOSTLAN, degree=2.7), "$.model.degree"),

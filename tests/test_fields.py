@@ -319,10 +319,60 @@ def test_pivoted_cholesky_handles_singular_psd(rng):
     np.diag([4.0, 1.0, -1e-6]),
     [[1.0, 0.5], [0.0, 1.0]],         # not symmetric
     [[1.0, np.nan], [np.nan, 1.0]],
+    np.diag([2.0, np.nan, 1.0]),
 ])
 def test_pivoted_cholesky_rejects_what_it_cannot_factor(cov):
     with pytest.raises(DegenerateModelError):
         pivoted_cholesky(np.asarray(cov, dtype=float))
+
+
+def dpstrf_factor(cov):
+    """The factor LAPACK's dpstrf gives cov, clamped and unpivoted as pivoted_cholesky does."""
+    from scipy.linalg import lapack
+    c, piv, rank, _ = lapack.dpstrf(cov, lower=1)
+    c = np.tril(c)
+    c[:, rank:] = 0.0
+    return c[np.argsort(piv - 1)]
+
+
+def at_rank_threshold(n, top):
+    """n entries: top, then dpstrf's stop n * 2^-53 * top, one ulp below and above it, then 0.5."""
+    stop = n * 2.0 ** -53 * top
+    return [top, stop, np.nextafter(stop, 0.0), np.nextafter(stop, np.inf)] + [0.5] * (n - 4)
+
+
+_diag_rng = np.random.default_rng(2021)
+DIAGONALS = {
+    # dpstrf switches from its unblocked to its blocked code above n = 64.
+    **{f"identity_{n}": np.ones(n) for n in (1, 26, 64, 65, 171, 300)},
+    **{f"random_{n}": _diag_rng.random(n) for n in (2, 7, 64, 150)},
+    **{f"lognormal_{n}": np.exp(_diag_rng.normal(0.0, 20.0, n)) for n in (5, 90)},
+    **{f"ties_{n}": _diag_rng.integers(1, 4, n).astype(float) for n in (6, 80, 200)},
+    "swap_reorders_ties": [1.0, 1.0, 2.0, 1.0],  # pivots 2, 1, 0, 3: not a stable sort
+    "zeros": np.zeros(5),
+    "some_zeros": [0.0, 2.0, 0.0, 1.0, 1e-300],
+    "tiny_and_zero": [1e-17, 1.0, 0.0, 1e-17],
+    "threshold_top_1": at_rank_threshold(4, 1.0),
+    "threshold_top_3": at_rank_threshold(7, 3.0),
+    "threshold_top_3_blocked": at_rank_threshold(100, 3.0),
+}
+
+
+@pytest.mark.parametrize("diag", DIAGONALS.values(), ids=DIAGONALS.keys())
+def test_diagonal_pivoted_cholesky_is_dpstrf_bit_for_bit(diag):
+    cov = np.diag(np.asarray(diag, dtype=float))
+    assert pivoted_cholesky(cov).tobytes() == dpstrf_factor(cov).tobytes()
+
+
+@pytest.mark.parametrize("diag", [[np.inf], [0.0, np.inf], [1.0, np.inf, np.inf], [np.inf] * 70])
+def test_pivoted_cholesky_rejects_an_infinite_diagonal(diag):
+    # dpstrf tests only its first pivot against 0, so it takes an infinite one
+    # and F F^T holds inf * 0 = nan; a stop at n * 2^-53 * inf would give F = 0.
+    cov = np.diag(diag)
+    with np.errstate(invalid="ignore"):
+        assert np.isinf(dpstrf_factor(cov)).any()
+        with pytest.raises(DegenerateModelError):
+            pivoted_cholesky(cov)
 
 
 # ---------------------------------------------------------------------------
