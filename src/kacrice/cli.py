@@ -161,7 +161,7 @@ def _run_kinematic(cfg: ExperimentConfig):
                               max_segment=cfg.param("max_segment"))
     spec1 = cfg.target["curve1"]
     x = spec1.get("rho", LATITUDE_RHO) if spec1["kind"] == "latitude" else 0.0
-    return [_record("kinematic", x, formula.value, est, cfg.seed)], est.flagged
+    return [_record("kinematic", x, formula, est, cfg.seed)], est.flagged
 
 
 def _mixture_mats(eps: float, d_low: int, d_high: int):

@@ -12,8 +12,9 @@ independent and the conditioning drops).  K0 = Cov X(p) is checked once per
 base point, and phi_{K0} of every fiber node is computed before the jet loop
 projects the jets onto each node's normals.  ``expected_count`` integrates it
 over a region of the base manifold.  Closed forms for isotropic fields on
-spheres (point counts, Shub-Smale, mixed Kostlan) are exact and carry zero
-standard error.  Everything is deterministic given a seed.
+spheres (point counts, Shub-Smale, mixed Kostlan) and Poincaré's kinematic
+formula on S^2 are exact and carry zero standard error.  Everything is
+deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import rotation_from_z
 from .errors import ConfigurationError, DomainError
 from .estimate import Estimate
 from .fields import (
@@ -40,8 +40,6 @@ from .quadrature import Region
 # Volume of SO(3) under the bi-invariant metric scaled so that the orbit map
 # onto the unit sphere is a Riemannian submersion (fibers have length 2*pi).
 VOL_SO3 = 8.0 * math.pi**2
-# Midpoint nodes of the rotation angle in the kinematic fiber average.
-KINEMATIC_FRAME_NODES = 256
 
 
 # ---------------------------------------------------------------------------
@@ -262,51 +260,17 @@ def expected_count(model: FieldModel, W: LevelSetW, region: Region,
 # Kinematic formula on S^2 (rotations of one curve against another)
 # ---------------------------------------------------------------------------
 
-def _pulled_back_normals(curve, n: int):
-    """Curve quadrature plus the normal lines moved to the reference tangent plane.
-
-    Each base point x is written as mu . e_z for a rotation mu; the normal
-    line of the curve at x is carried to the tangent plane at e_z (the xy
-    plane) by mu^{-1}, where lines from different points can be compared.
-    """
-    pts, normals, weights = curve.quadrature(n)
-    # nu^T mu is (mu^{-1} nu)^T, one batched product for every node.
-    planar = (normals[:, None, :] @ rotation_from_z(pts))[:, 0, :2]
-    return planar, weights
-
-
-def kinematic_rhs_sphere(curve1, curve2, n_curve_nodes: int = 96) -> Estimate:
+def kinematic_rhs_sphere(curve1, curve2) -> float:
     """Kinematic average of #(g . curve1 ∩ curve2) over probability-Haar g.
 
-    Numerically evaluates the double line integral of the fiber-averaged
-    angle between pulled-back normal lines, divided by vol(SO(3)) = 8 pi^2
-    so the result is directly comparable to a Monte Carlo mean over uniform
-    rotations.  The unimodularity factor of the rotation group is 1.
+    Poincaré's formula on S^2 = SO(3)/SO(2): the stabilizer turns one normal
+    line through every direction, so the fiber mean of |sin| of the angle
+    between the normal lines is 2/pi at every pair of points, and the double
+    line integral divided by vol(SO(3)) = 8 pi^2 is 4 L1 L2 / 8 pi^2 =
+    L1 L2 / (2 pi^2) (Santaló 1976, ch. 18).  It is directly comparable to a
+    Monte Carlo mean over uniform rotations.
     """
-
-    def evaluate(n: int) -> float:
-        a, wa = _pulled_back_normals(curve1, n)
-        b, wb = _pulled_back_normals(curve2, n)
-        t = 2.0 * math.pi * (np.arange(KINEMATIC_FRAME_NODES) + 0.5) / KINEMATIC_FRAME_NODES
-        ct, st = np.cos(t), np.sin(t)
-        # b rotated by every frame angle, one (ny, nt) array per component.
-        bx = b[:, 0, None] * ct - b[:, 1, None] * st
-        by = b[:, 0, None] * st + b[:, 1, None] * ct
-        bb = bx * bx + by * by
-        # |sin| of each line angle by Lagrange's identity, one row of a at a time.
-        rows = []
-        for ax, ay in a:
-            aabb = (ax * ax + ay * ay) * bb
-            ab = ax * bx + ay * by
-            rows.append(np.sqrt(np.clip(aabb - ab * ab, 0.0, None) / aabb).mean(axis=1))
-        sigma_bar = 2.0 * math.pi * np.stack(rows)
-        return float(wa @ sigma_bar @ wb) / VOL_SO3
-
-    full = evaluate(n_curve_nodes)
-    half = evaluate(max(n_curve_nodes // 2, 8))
-    return Estimate(value=full, std_error=abs(full - half),
-                    n=n_curve_nodes * n_curve_nodes * KINEMATIC_FRAME_NODES, seed=0,
-                    method="kinematic_rhs_sphere")
+    return 4.0 * curve1.length * curve2.length / VOL_SO3
 
 
 # ---------------------------------------------------------------------------

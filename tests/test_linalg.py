@@ -1,12 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacrice import curves, formulas
 from kacrice.errors import DomainError
-from kacrice.formulas import kinematic_rhs_sphere
 from kacrice.linalg import (
     Subspace,
     angle_via_projection,
@@ -220,54 +216,6 @@ def test_projection_form_lines_at_pi_over_four():
     V = Subspace.span([[1.0, 0.0]])
     W = Subspace.span([[1.0, 1.0]])
     assert angle_via_projection(V, W) == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
-
-
-def sine_angle_lines_np_sum(u, v):
-    """|sin| of the angle between the lines spanned by u and v, rows (..., n),
-    by Lagrange's identity with np.sum over (..., n) products."""
-    uu = np.sum(u * u, axis=-1)
-    vv = np.sum(v * v, axis=-1)
-    uv = np.sum(u * v, axis=-1)
-    return np.sqrt(np.clip(uu * vv - uv * uv, 0.0, None) / (uu * vv))
-
-
-def kinematic_rhs_np_sum(curve1, curve2, n_curve_nodes):
-    """(value, SE) of kinematic_rhs_sphere, with the rotated normals of curve 2
-    stacked into (ny, nt, 2) and the line angles taken by sine_angle_lines_np_sum."""
-
-    def evaluate(n):
-        a, wa = formulas._pulled_back_normals(curve1, n)
-        b, wb = formulas._pulled_back_normals(curve2, n)
-        nt = formulas.KINEMATIC_FRAME_NODES
-        t = 2.0 * math.pi * (np.arange(nt) + 0.5) / nt
-        ct, st = np.cos(t), np.sin(t)
-        brot = np.stack([b[:, 0, None] * ct - b[:, 1, None] * st,
-                         b[:, 0, None] * st + b[:, 1, None] * ct], axis=2)
-        sigma_bar = 2.0 * math.pi * np.stack([sine_angle_lines_np_sum(ai, brot).mean(axis=1)
-                                              for ai in a])
-        return float(wa @ sigma_bar @ wb) / formulas.VOL_SO3
-
-    full = evaluate(n_curve_nodes)
-    return full, abs(full - evaluate(max(n_curve_nodes // 2, 8)))
-
-
-@pytest.mark.parametrize("seed", [2, 3, 4, 5])
-def test_sine_angle_lines_bitwise_equals_np_sum_form(seed):
-    """The planar line angles of kinematic_rhs_sphere's fiber average give the
-    value and SE of the np.sum form, bit for bit, on random pairs of great and
-    latitude circles."""
-    rng = np.random.default_rng(2020 + seed)
-
-    def random_curve():
-        axis = rng.standard_normal(3)
-        if rng.random() < 0.5:
-            return curves.great_circle(axis=axis)
-        return curves.latitude_circle(rng.uniform(0.05, math.pi - 0.05), axis=axis)
-
-    for i in range(10):
-        c1, c2, n = random_curve(), random_curve(), (16, 48, 96)[i % 3]
-        est = kinematic_rhs_sphere(c1, c2, n)
-        assert (est.value, est.std_error) == kinematic_rhs_np_sum(c1, c2, n)
 
 
 def test_hadamard_bound_for_orthonormal_blocks():

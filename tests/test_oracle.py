@@ -678,12 +678,7 @@ def test_kinematic_rejects_chords_longer_than_max_segment():
     def gamma(t):
         return np.stack([np.cos(theta(t)), np.sin(theta(t)), np.zeros_like(t)], axis=1)
 
-    def dgamma(t):
-        speed = 2 * np.pi + np.pi * np.cos(2 * np.pi * t)
-        return speed[:, None] * np.stack([-np.sin(theta(t)), np.cos(theta(t)),
-                                          np.zeros_like(t)], axis=1)
-
-    uneven = curves.SphericalCurve(gamma, dgamma, length=2 * np.pi)
+    uneven = curves.SphericalCurve(gamma, length=2 * np.pi)
     other = curves.great_circle(axis=(0, 1, 0))
     for c1, c2 in ((uneven, other), (other, uneven)):
         with pytest.raises(DomainError, match="max_segment"):
