@@ -208,6 +208,7 @@ class FieldModel:
                     and (cov.size == 0 or smallest_eigenvalue(cov) >= -tol)):
                 raise DomainError("coefficient covariance must be finite, symmetric and PSD")
         self._factor: Optional[np.ndarray] = None
+        self._nodes: dict = {}  # the oracles' per-model node tables, built on first use
 
     # -- basis matrices ----------------------------------------------------
 
@@ -410,13 +411,13 @@ class Realization:
 
     def value(self, pts: np.ndarray) -> np.ndarray:
         """Field values at points (N, amb) -> (N, k); scalar fields squeeze to (N,)."""
-        model = self.model
-        out = model.basis.evaluate(np.asarray(pts, dtype=float)) @ (model.mixing * self.coeffs).T
-        return out[:, 0] if model.output_dim == 1 else out
+        return self.value_from_basis(self.model.basis.evaluate(np.asarray(pts, dtype=float)))
 
-    def circle_values(self, thetas: np.ndarray) -> np.ndarray:
-        pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        return self.value(pts)
+    def value_from_basis(self, basis_values: np.ndarray) -> np.ndarray:
+        """``value`` at the points where model.basis.evaluate gave basis_values (N, n_coeffs)."""
+        model = self.model
+        out = basis_values @ (model.mixing * self.coeffs).T
+        return out[:, 0] if model.output_dim == 1 else out
 
     def circle_derivative(self, thetas: np.ndarray) -> np.ndarray:
         """d/dtheta of a scalar field along the unit circle."""

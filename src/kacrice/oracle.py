@@ -6,10 +6,11 @@ sphere), found as the real roots of one real polynomial in u = tan(phi / 2),
 or tan(phi) when it is antipodally symmetric, with phi measured from
 CIRCLE_SHIFT, and exact segment-pair intersection of polylines under
 Haar-random rotations.  Root counts read the rounding noise off the samples,
-and flag a polynomial that vanishes identically and roots too close to call,
-including zeros that the polynomial does not cross (a sign check at the
-midpoints between them), so unresolved realizations are observable rather
-than silent.
+and flag a polynomial that vanishes identically, fewer zeros than the samples
+change sign, and roots too close to call, including zeros that the polynomial
+does not cross (a sign check at the midpoints between them), so unresolved
+realizations are observable rather than silent.  The basis at a model's
+sample points is evaluated on its first count and kept on the model.
 """
 
 from __future__ import annotations
@@ -90,6 +91,20 @@ def _t_form(d: int, s: int):
     return ks, t_map
 
 
+def _companion_roots(p: np.ndarray) -> np.ndarray:
+    """np.roots(p) for a real 1-D p, bit for bit, without its wrapper: the
+    eigenvalues of the companion matrix of p stripped of leading and trailing
+    zeros, then one zero root per trailing zero."""
+    nonzero = np.flatnonzero(p)
+    if nonzero.size == 0:
+        return np.zeros(0)
+    trimmed = p[nonzero[0]:nonzero[-1] + 1]
+    companion = np.eye(trimmed.size - 1, k=-1)
+    companion[:1] = -trimmed[1:] / trimmed[0]
+    roots = np.linalg.eigvals(companion)
+    return np.concatenate((roots, np.zeros(p.size - 1 - nonzero[-1], roots.dtype)))
+
+
 def _unit_circle_roots(samples: np.ndarray, D: int):
     """Zeros of a real trigonometric polynomial p of degree at most D from its
     values at the N = 4(D + 1) nodes 2 pi j / N.
@@ -106,30 +121,36 @@ def _unit_circle_roots(samples: np.ndarray, D: int):
     CIRCLE_SHIFT keeps zeros at theta = 0 or pi, where simple fields put
     them, away from u = infinity.
 
-    Returns (sorted zero angles in [0, 2 pi), reason).  The reason is
-    "vanishes identically" when no c_k is above the noise, and "roots too
-    close to call" when a root off the circle (by |log|w|| / s, in theta, at
-    least REAL_ROOT_TOL) or the gap between two zeros is below
-    AMBIGUOUS_ROOT_TOL, or when an even number of zeros does not alternate the
-    sign of p at the midpoints between them.  It is "" otherwise; an odd
-    number of zeros is left to the caller.
+    Returns (sorted zero angles in [0, 2 pi), their ``_min_separation``,
+    reason).  The reason is "vanishes identically" when no c_k is above the
+    noise; "fewer zeros than sample sign changes" when the samples change sign
+    between more pairs of neighbouring nodes (cyclically) than there are
+    zeros, since each such pair holds one; and "roots too close to call" when
+    a root off the circle (by |log|w|| / s, in theta, at least REAL_ROOT_TOL)
+    or the gap between two zeros is below AMBIGUOUS_ROOT_TOL, or when an even
+    number of zeros does not alternate the sign of p at the midpoints between
+    them.  It is "" otherwise; an odd number of zeros is left to the caller.
     """
     fourier = np.fft.rfft(samples) / samples.size
     noise = np.abs(fourier[D + 1:]).max()
     above = np.flatnonzero(np.abs(fourier[:D + 1]) > NOISE_FACTOR * noise)
     if above.size == 0:
-        return np.zeros(0), "vanishes identically"
+        return np.zeros(0), float("inf"), "vanishes identically"
     d = int(above[-1])
     s = 2 if ((d - above) % 2 == 0).all() else 1
     ks, t_map = _t_form(d, s)
-    u = np.roots((fourier[ks] @ t_map).real)
+    u = _companion_roots((fourier[ks] @ t_map).real)
     w = (1j - u) / (u + 1j)
     off_circle = np.abs(np.log(np.abs(w))) / s
     real = off_circle < REAL_ROOT_TOL
     phis = (np.angle(w[real]) / s + np.pi * np.arange(s)[:, None]).ravel()
     angles = np.sort(np.mod(phis + CIRCLE_SHIFT, 2.0 * np.pi))
+    gap = _min_separation(angles)
+    signs = np.sign(samples)
     reason = ""
-    if min(off_circle[~real].min(initial=np.inf), _min_separation(angles)) < AMBIGUOUS_ROOT_TOL:
+    if angles.size < np.count_nonzero(signs * np.roll(signs, 1) < 0.0):
+        reason = "fewer zeros than sample sign changes"
+    elif min(off_circle[~real].min(initial=np.inf), gap) < AMBIGUOUS_ROOT_TOL:
         reason = "roots too close to call"
     elif angles.size > 0 and angles.size % 2 == 0:
         # The sign of p, from all its Fourier coefficients (trimmed ones too),
@@ -140,7 +161,7 @@ def _unit_circle_roots(samples: np.ndarray, D: int):
         positive = fourier[0].real + 2.0 * (powers @ fourier[1:D + 1]).real > 0.0
         if not (positive[1:] != positive[:-1]).all():
             reason = "roots too close to call"
-    return angles, reason
+    return angles, gap, reason
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +174,21 @@ def _circle_roots(realization: Realization, level: float):
 
     On the unit circle a scalar field whose monomials have total degree at
     most D is a trigonometric polynomial of degree D, sampled at 4(D + 1) nodes.
+    The basis there is evaluated on the model's first count and kept on it.
     """
     model = realization.model
-    if model.output_dim != 1:
-        raise DomainError("circle zero counting needs a scalar field")
-    D = int(model.basis.exponents.sum(axis=1).max())
-    thetas = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
-    roots, reason = _unit_circle_roots(realization.circle_values(thetas) - level, D)
+    if "circle" not in model._nodes:
+        if model.output_dim != 1:
+            raise DomainError("circle zero counting needs a scalar field")
+        D = int(model.basis.exponents.sum(axis=1).max())
+        thetas = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
+        pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        model._nodes["circle"] = D, model.basis.evaluate(pts)
+    D, basis = model._nodes["circle"]
+    roots, gap, reason = _unit_circle_roots(realization.value_from_basis(basis) - level, D)
     if not reason and roots.size % 2 == 1:
         reason = "odd zero count on a closed loop"
-    return roots, {"min_separation": _min_separation(roots)}, reason
+    return roots, {"min_separation": gap}, reason
 
 
 def count_zeros_circle(realization: Realization, level: float = 0.0) -> CountSample:
@@ -170,8 +196,9 @@ def count_zeros_circle(realization: Realization, level: float = 0.0) -> CountSam
 
     The zeros are the unit-circle roots of one polynomial (see
     ``_unit_circle_roots``).  A sample is flagged when X - level vanishes
-    identically, when roots are too close to call, or when the count is odd
-    (transverse level sets of a closed loop have even cardinality).
+    identically, when fewer zeros are found than its samples change sign, when
+    roots are too close to call, or when the count is odd (transverse level
+    sets of a closed loop have even cardinality).
     """
     roots, diag, reason = _circle_roots(realization, level)
     return CountSample(count=int(roots.size), seed=realization.seed, diagnostics=diag,
@@ -200,25 +227,37 @@ def count_signed_zeros_circle(realization: Realization) -> CountSample:
 # ---------------------------------------------------------------------------
 
 def _homogeneous_degree(r: Realization) -> int:
-    """Total degree d of a scalar realization on S^2 whose monomials all have degree d."""
+    """Total degree d of a scalar realization on S^2 whose monomials all have
+    degree d, found on the model's first count and kept on it."""
     model = r.model
-    if model.output_dim != 1 or model.domain.name != "sphere":
-        raise DomainError("common-zero counting needs scalar fields on the sphere")
-    degrees = np.unique(model.basis.exponents.sum(axis=1))
-    if degrees.size != 1:
-        raise DomainError("common-zero counting needs homogeneous fields "
-                          "(monomials of one total degree)")
-    return int(degrees[0])
+    if "degree" not in model._nodes:
+        if model.output_dim != 1 or model.domain.name != "sphere":
+            raise DomainError("common-zero counting needs scalar fields on the sphere")
+        degrees = np.unique(model.basis.exponents.sum(axis=1))
+        if degrees.size != 1:
+            raise DomainError("common-zero counting needs homogeneous fields "
+                              "(monomials of one total degree)")
+        model._nodes["degree"] = int(degrees[0])
+    return model._nodes["degree"]
 
 
-def _z_coefficients(r: Realization, d: int, pts: np.ndarray) -> np.ndarray:
-    """Coefficients (N, d + 1) of z^0..z^d in r(p + z C) at each point p of pts (N, 3).
+def _z_coefficients(r: Realization, d: int, D: int) -> np.ndarray:
+    """Coefficients (N, d + 1) of z^0..z^d in r(u + z C) at the N = 4(D + 1)
+    points u = cos phi U1 + sin phi U2, phi = 2 pi j / N, of a resultant of degree D.
 
     The polynomial of degree d is fitted exactly through its values at d + 1
-    Chebyshev nodes of z."""
-    z = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
-    vals = r.value((pts[:, None, :] + z[None, :, None] * SPHERE_CENTRE).reshape(-1, 3))
-    return np.linalg.solve(np.vander(z, increasing=True), vals.reshape(-1, d + 1).T).T
+    Chebyshev nodes of z.  The Vandermonde matrix of those nodes and the basis
+    at the N (d + 1) points are built on the model's first count at D and kept on it."""
+    nodes = r.model._nodes
+    if ("sphere", D) not in nodes:
+        phis = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
+        u = np.cos(phis)[:, None] * _SPHERE_PLANE[0] + np.sin(phis)[:, None] * _SPHERE_PLANE[1]
+        z = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
+        pts = (u[:, None, :] + z[None, :, None] * SPHERE_CENTRE).reshape(-1, 3)
+        nodes["sphere", D] = np.vander(z, increasing=True), r.model.basis.evaluate(pts)
+    vander, basis = nodes["sphere", D]
+    vals = r.value_from_basis(basis)
+    return np.linalg.solve(vander, vals.reshape(-1, d + 1).T).T
 
 
 # What each ``_unit_circle_roots`` reason means for the sphere resultant.
@@ -226,6 +265,8 @@ _RESULTANT_REASONS = {
     "": "",
     "vanishes identically":
         "resultant vanishes identically (a common zero at the centre, or a shared factor)",
+    "fewer zeros than sample sign changes":
+        "resultant has fewer zeros than sign changes of its samples (roots lost to rounding)",
     "roots too close to call":
         "resultant roots too close to call (a non-transverse intersection, "
         "or two zeros on one line through the centre)",
@@ -242,22 +283,20 @@ def count_common_zeros_sphere(r1: Realization, r2: Realization) -> CountSample:
     4(D + 1) nodes (Sylvester determinants of the z-coefficients), and its
     zeros (``_unit_circle_roots``) are the common zeros, each projective
     zero twice (phi and phi + pi).  The sample is flagged when R vanishes
-    identically or its roots are too close to call; ``_RESULTANT_REASONS``
-    says what each means for the sphere.
+    identically, has fewer zeros than its samples change sign, or has roots
+    too close to call; ``_RESULTANT_REASONS`` says what each means for the sphere.
     """
     d1, d2 = _homogeneous_degree(r1), _homogeneous_degree(r2)
     D = d1 * d2
-    phis = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
-    u = np.cos(phis)[:, None] * _SPHERE_PLANE[0] + np.sin(phis)[:, None] * _SPHERE_PLANE[1]
-    a, b = _z_coefficients(r1, d1, u)[:, ::-1], _z_coefficients(r2, d2, u)[:, ::-1]
-    sylvester = np.zeros((phis.size, d1 + d2, d1 + d2))
+    a, b = _z_coefficients(r1, d1, D)[:, ::-1], _z_coefficients(r2, d2, D)[:, ::-1]
+    sylvester = np.zeros((4 * D + 4, d1 + d2, d1 + d2))
     for i in range(d2):
         sylvester[:, i, i:i + d1 + 1] = a
     for i in range(d1):
         sylvester[:, d2 + i, i:i + d2 + 1] = b
-    angles, reason = _unit_circle_roots(np.linalg.det(sylvester), D)
+    angles, gap, reason = _unit_circle_roots(np.linalg.det(sylvester), D)
     return CountSample(count=angles.size // 2, seed=r1.seed,
-                       diagnostics={"min_separation": _min_separation(angles),
+                       diagnostics={"min_separation": gap,
                                     "sphere_count": int(angles.size)},
                        flagged=bool(reason), flag_reason=_RESULTANT_REASONS[reason])
 

@@ -12,6 +12,7 @@ from kacrice import cli
 from kacrice.cli import main, run, write_records
 from kacrice.config import EXPERIMENTS, ExperimentConfig, PARAM_DEFAULTS
 from kacrice.errors import ConfigurationError
+from kacrice.fields import MonomialBasis
 
 
 def write_config(tmp_path, cfg: dict) -> str:
@@ -468,6 +469,32 @@ def test_sphere_count_record_is_pinned(tmp_path):
     }
     assert main(["run", "--config", write_config(tmp_path, cfg)]) == 0
     assert (tmp_path / "sphere.csv").read_bytes() == SPHERE_COUNT_RECORD
+
+
+# Each model's basis is evaluated at the oracle's nodes once per run, so the
+# number of evaluations does not grow with the number of realizations.
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "point_count", "model": {"kind": "kostlan", "m": 1, "degree": 9, "k": 1},
+     "target": {"kind": "point", "y": [0.3]}},
+    {"experiment": "sphere_count", "model": {"kind": "kostlan", "m": 2, "degrees": [2, 3]}},
+], ids=["point_count", "sphere_count"])
+def test_basis_evaluations_do_not_grow_with_realizations(tmp_path, monkeypatch, cfg):
+    calls = []
+    evaluate = MonomialBasis.evaluate
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return evaluate(self, pts)
+
+    monkeypatch.setattr(MonomialBasis, "evaluate", counted)
+    per_run = []
+    for n in (5, 40):
+        calls.clear()
+        run_cfg = dict(cfg, params={"n_realizations": n}, seed=3,
+                       output={"path": str(tmp_path / f"out{n}.csv"), "format": "csv"})
+        assert main(["run", "--config", write_config(tmp_path, run_cfg)]) == 0
+        per_run.append(len(calls))
+    assert per_run[0] == per_run[1] > 0
 
 
 # point_count records: the README example (Kostlan 25 at level 0, whose

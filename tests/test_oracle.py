@@ -222,9 +222,25 @@ def test_kostlan_25_counts_equal_exact_sturm_counts(seed):
 def test_high_degree_counts_equal_sign_changes(degree, seed):
     r = sample(kostlan_model(1, degree), seed)
     cs = count_zeros_circle(r)
-    negative = r.circle_values(np.arange(2**16) * (2.0 * np.pi / 2**16)) < 0.0
+    thetas = np.arange(2**16) * (2.0 * np.pi / 2**16)
+    negative = r.value(np.stack([np.cos(thetas), np.sin(thetas)], axis=1)) < 0.0
     assert not cs.flagged
     assert cs.count == np.count_nonzero(negative != np.roll(negative, 1))
+
+
+# The two Kostlan-150 realizations of 30 (seeds from SeedSequence(5), as
+# mc_expected_count draws them) whose zeros were undercounted and not
+# flagged before the sign-change audit: 28 of 32 and 16 of 20 sign changes
+# on 2^16 nodes.  Their samples change sign more often than that.
+@pytest.mark.parametrize("seed", [12631478326263854183, 2561529480819305803])
+def test_audit_flags_kostlan_150_counts_below_the_sample_sign_changes(seed):
+    assert seed in np.random.SeedSequence(5).generate_state(30, np.uint64)
+    r = sample(kostlan_model(1, 150), seed)
+    cs = count_zeros_circle(r)
+    thetas = np.arange(2**16) * (2.0 * np.pi / 2**16)
+    negative = r.value(np.stack([np.cos(thetas), np.sin(thetas)], axis=1)) < 0.0
+    assert cs.count < np.count_nonzero(negative != np.roll(negative, 1))
+    assert cs.flagged and cs.flag_reason == "fewer zeros than sample sign changes"
 
 
 def test_count_rejects_vector_field():
@@ -384,6 +400,17 @@ def test_common_zeros_count_right_at_pinned_seeds(d1, d2, seed, count):
     assert not cs.flagged and cs.count == count
 
 
+def test_common_zeros_flag_a_resultant_with_fewer_zeros_than_sign_changes():
+    # Pair 18 of sphere_count (10, 10) at seed 11, r2 from s + 0x9E3779B9:
+    # 8 common zeros found, where R's sign changes on 40 000 nodes give 14.
+    s = 16947017706032361025
+    cs = count_common_zeros_sphere(sample(kostlan_model(2, 10), s),
+                                   sample(kostlan_model(2, 10), s + 0x9E3779B9))
+    assert cs.count == 8
+    assert cs.flagged
+    assert cs.flag_reason == oracle._RESULTANT_REASONS["fewer zeros than sample sign changes"]
+
+
 def test_common_zeros_reject_non_homogeneous_fields():
     mixed = sample(isotropic_model([np.eye(1), np.eye(1)], m=2), 1)
     with pytest.raises(DomainError):
@@ -454,7 +481,7 @@ def test_halved_and_full_forms_give_the_same_zeros(monkeypatch, name):
     monkeypatch.undo()
     n_zeros = 0
     for samples, D in inputs:
-        angles, reason = oracle._unit_circle_roots(samples, D)
+        angles, _, reason = oracle._unit_circle_roots(samples, D)
         full = zeros_by_form(samples, D, 1)
         assert reason == ""
         assert angles.shape == full.shape
@@ -462,6 +489,79 @@ def test_halved_and_full_forms_give_the_same_zeros(monkeypatch, name):
         np.testing.assert_allclose(angles, full, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(zeros_by_form(samples, D, 2), full, rtol=0.0, atol=1e-9)
     assert n_zeros > 0
+
+
+# ---------------------------------------------------------------------------
+# Per-model node tables and companion roots
+# ---------------------------------------------------------------------------
+
+CIRCLE_MODELS = {
+    "kostlan 25": kostlan_model(1, 25),
+    "mixed kostlan 4/9": isotropic_model([np.zeros((1, 1))] * 4 + [0.8 * np.eye(1)]
+                                         + [np.zeros((1, 1))] * 4 + [0.6 * np.eye(1)]),
+    "custom basis": custom_monomial_model(circle_domain(), [[1, 0], [0, 1], [2, 1]],
+                                          [[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLE_MODELS))
+def test_cached_circle_samples_equal_realization_value_bitwise(monkeypatch, name):
+    model = CIRCLE_MODELS[name]
+    inputs = spy(monkeypatch, "_unit_circle_roots")
+    for seed in range(5):
+        count_zeros_circle(sample(model, seed), level=0.3)
+    monkeypatch.undo()
+    D = int(model.basis.exponents.sum(axis=1).max())
+    thetas = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
+    pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    for seed, (samples, samples_D) in enumerate(inputs):
+        assert samples_D == D
+        assert samples.tobytes() == (sample(model, seed).value(pts) - 0.3).tobytes()
+
+
+def test_cached_sphere_z_coefficients_equal_realization_value_bitwise():
+    models = {2: kostlan_model(2, 2), 3: kostlan_model(2, 3)}
+    D = 6
+    phis = np.arange(4 * D + 4) * (2.0 * np.pi / (4 * D + 4))
+    u = (np.cos(phis)[:, None] * oracle._SPHERE_PLANE[0]
+         + np.sin(phis)[:, None] * oracle._SPHERE_PLANE[1])
+    for d, model in models.items():
+        z = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
+        pts = (u[:, None, :] + z[None, :, None] * oracle.SPHERE_CENTRE).reshape(-1, 3)
+        for seed in range(5):
+            r = sample(model, seed)
+            vals = r.value(pts)
+            direct = np.linalg.solve(np.vander(z, increasing=True), vals.reshape(-1, d + 1).T).T
+            assert oracle._z_coefficients(r, d, D).tobytes() == direct.tobytes()
+
+
+@pytest.mark.parametrize("p", [
+    [0.0, 0.0, 1.0, -3.0, 2.0],          # leading zeros
+    [1.0, -3.0, 2.0, 0.0, 0.0, 0.0],     # trailing zeros
+    [0.0, 2.0, 0.5, 0.0, 1.0, 0.0],      # both
+    [4.0],                               # a constant
+    [0.0, 4.0, 0.0],                     # a constant between zeros
+    [0.0, 0.0],                          # no nonzero coefficient
+    [1.0, 0.0, 1.0],                     # complex roots
+    [3.0, 1.0],                          # one root
+])
+def test_companion_roots_equal_np_roots_bitwise(p):
+    p = np.array(p)
+    ours, theirs = oracle._companion_roots(p), np.roots(p)
+    assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def test_companion_roots_equal_np_roots_bitwise_on_kostlan_25_forms():
+    # The real part of a complex product, as _unit_circle_roots passes it.
+    ks, t_map = oracle._t_form(25, 2)
+    thetas = np.arange(104) * (2.0 * np.pi / 104)
+    pts = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    for seed in range(50):
+        samples = sample(kostlan_model(1, 25), seed).value(pts)
+        p = ((np.fft.rfft(samples) / samples.size)[ks] @ t_map).real
+        ours, theirs = oracle._companion_roots(p), np.roots(p)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
 # ---------------------------------------------------------------------------
